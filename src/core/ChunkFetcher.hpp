@@ -116,9 +116,7 @@ public:
         m_chunks( std::move( chunks ) ),
         m_chunkCount( m_chunks.size() ),
         m_configuration( configuration ),
-        m_cacheCapacity( configuration.cacheChunkCount > 0
-                         ? configuration.cacheChunkCount
-                         : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
+        m_cacheCapacity( cacheCapacity( configuration ) ),
         m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* boundary mode */ 1 ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
@@ -134,12 +132,20 @@ public:
         m_chunkCount( chunkCount ),
         m_decoder( std::move( decoder ) ),
         m_configuration( configuration ),
-        m_cacheCapacity( configuration.cacheChunkCount > 0
-                         ? configuration.cacheChunkCount
-                         : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
+        m_cacheCapacity( cacheCapacity( configuration ) ),
         m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* index mode */ 2 ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
+
+    /** Ready chunks the per-reader cache holds: cacheChunkCount, or
+     * max(2P + 4, 8) when unset. */
+    [[nodiscard]] static std::size_t
+    cacheCapacity( const ChunkFetcherConfiguration& configuration ) noexcept
+    {
+        return configuration.cacheChunkCount > 0
+               ? configuration.cacheChunkCount
+               : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 );
+    }
 
     [[nodiscard]] std::size_t
     chunkCount() const noexcept
@@ -164,6 +170,7 @@ public:
 
             if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
                 match->second.lastUse = m_accessClock;
+                match->second.installedUnread = false;
                 if ( match->second.prefetched && !match->second.counted ) {
                     ++m_statistics.prefetchHits;
                     match->second.counted = true;
@@ -267,6 +274,30 @@ public:
         return future;
     }
 
+    /**
+     * Adopt chunk @p index, decoded elsewhere (the verified sweep's kept
+     * prefix), as a ready entry. It counts as neither a prefetch nor an
+     * on-demand decode. With a shared tier it goes there too, so its bytes
+     * are accounted and evicted with everything else; the per-reader entry
+     * then only bridges it to its first read, like any decode. The caller
+     * installs at most cacheCapacity() chunks.
+     */
+    void
+    install( std::size_t index, ChunkDataPtr chunk )
+    {
+        if ( m_configuration.sharedCache ) {
+            m_configuration.sharedCache->insert( ChunkCacheKey{ m_cacheToken, index }, chunk );
+        }
+        std::promise<ChunkDataPtr> ready;
+        ready.set_value( std::move( chunk ) );
+        CacheEntry entry;
+        entry.future = ready.get_future().share();
+        entry.installedUnread = true;
+        const std::lock_guard<std::mutex> lock( m_mutex );
+        entry.lastUse = m_accessClock;
+        m_cache.insert_or_assign( index, std::move( entry ) );
+    }
+
 private:
     struct CacheEntry
     {
@@ -274,6 +305,8 @@ private:
         std::uint64_t lastUse{ 0 };
         bool prefetched{ false };
         bool counted{ false };
+        /** Installed and not yet read: evicted only after every read entry. */
+        bool installedUnread{ false };
     };
 
     [[nodiscard]] static std::uint64_t
@@ -445,10 +478,15 @@ private:
         }
     }
 
-    /** Caller must hold m_mutex. Never evicts in-flight decodes or @p keepIndex. */
+    /** Caller must hold m_mutex. Never evicts in-flight decodes or @p keepIndex;
+     * installed chunks nobody has read yet go last. */
     void
     evictStaleEntries( std::size_t keepIndex )
     {
+        const auto older = [] ( const CacheEntry& a, const CacheEntry& b ) {
+            return std::make_pair( a.installedUnread, a.lastUse )
+                   < std::make_pair( b.installedUnread, b.lastUse );
+        };
         while ( m_cache.size() > m_cacheCapacity ) {
             auto victim = m_cache.end();
             for ( auto it = m_cache.begin(); it != m_cache.end(); ++it ) {
@@ -459,7 +497,7 @@ private:
                      != std::future_status::ready ) {
                     continue;
                 }
-                if ( ( victim == m_cache.end() ) || ( it->second.lastUse < victim->second.lastUse ) ) {
+                if ( ( victim == m_cache.end() ) || older( it->second, victim->second ) ) {
                     victim = it;
                 }
             }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -39,7 +40,6 @@ inline constexpr std::size_t FULL_FLUSH_MARKER_SIZE = 4;
 [[nodiscard]] inline std::vector<std::size_t>
 findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size_t searchEnd )
 {
-    static constexpr std::uint8_t MARKER[FULL_FLUSH_MARKER_SIZE] = { 0x00, 0x00, 0xFF, 0xFF };
     constexpr std::size_t BLOCK = 4 * MiB;
 
     telemetry::Span findSpan{ "pipeline", "chunk.find" };
@@ -50,24 +50,33 @@ findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size
         return result;
     }
 
+    /* Blocks overlap by marker-size - 1 bytes so straddling markers are
+     * found. A marker starting at s is reported only by the block with
+     * s <= blockBegin + BLOCK - 1, so the blocks never report one twice and
+     * the result comes out sorted. */
     std::vector<std::uint8_t> buffer( BLOCK + FULL_FLUSH_MARKER_SIZE - 1 );
     for ( std::size_t offset = searchBegin; offset < searchEnd; offset += BLOCK ) {
-        /* Overlap blocks by marker-size - 1 bytes so straddling matches are found. */
         const auto toRead = std::min( buffer.size(), searchEnd - offset );
         const auto got = file.pread( buffer.data(), toRead, offset );
         if ( got < FULL_FLUSH_MARKER_SIZE ) {
             break;
         }
+        /* memchr for the first 0xFF, then check the bytes around it: 0xFF
+         * is rare in compressed data, so the scan hops instead of comparing
+         * at every position. */
         const auto* const begin = buffer.data();
-        const auto* const end = begin + got;
-        for ( const auto* p = begin; ( p = std::search( p, end, MARKER, MARKER + FULL_FLUSH_MARKER_SIZE ) ) != end; ++p ) {
-            result.push_back( offset + static_cast<std::size_t>( p - begin ) + FULL_FLUSH_MARKER_SIZE );
+        const auto* const last = begin + got - 1;  /* the anchor needs one byte after it */
+        for ( const auto* p = begin + 2; p < last; ++p ) {
+            p = static_cast<const std::uint8_t*>(
+                std::memchr( p, 0xFF, static_cast<std::size_t>( last - p ) ) );
+            if ( p == nullptr ) {
+                break;
+            }
+            if ( ( p[1] == 0xFF ) && ( p[-1] == 0x00 ) && ( p[-2] == 0x00 ) ) {
+                result.push_back( offset + static_cast<std::size_t>( p - begin ) + 2 );
+            }
         }
     }
-
-    /* The overlap can report a marker twice; offsets are sorted per block. */
-    std::sort( result.begin(), result.end() );
-    result.erase( std::unique( result.begin(), result.end() ), result.end() );
     return result;
 }
 

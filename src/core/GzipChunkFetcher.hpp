@@ -6,7 +6,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <deque>
 #include <future>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "../deflate/DecodedData.hpp"
 #include "../deflate/DeflateDecoder.hpp"
 #include "../gzip/GzipHeader.hpp"
+#include "../index/GzipIndex.hpp"
 #include "../index/IndexBuilder.hpp"
 #include "../io/FileReader.hpp"
 #include "../telemetry/Registry.hpp"
@@ -76,11 +81,11 @@ tallyFilterStatistics( const blockfinder::FilterStatistics& statistics )
  * bit offsets. Stage one runs in parallel per chunk — block-find from the
  * guess with the cascaded rapid finder (plus the non-compressed finder for
  * stored blocks), then two-stage-decode into marker/plain data until the
- * first block boundary at or past the chunk's end guess. Stage two is the
- * cheap sequential stitch: verify each chunk starts exactly where its
+ * first block boundary at or past the chunk's end guess. Stage two is a
+ * cheap sequential stitch — verify each chunk starts exactly where its
  * predecessor stopped (re-decoding from the known offset when the finder
- * was fooled or skipped an unfindable Fixed block), substitute markers with
- * the propagated window, and slide the window forward.
+ * was fooled or skipped an unfindable Fixed block) and slide the window
+ * forward — while the marker substitution itself runs on the pool.
  *
  * Correctness does not rest on the finders: a surviving false positive
  * produces wrong bytes whose CRC32 cannot match the gzip footer, which the
@@ -101,6 +106,11 @@ public:
         bool reachedStreamEnd{ false };
         std::size_t blockCount{ 0 };
         bool startedAtStoredBlock{ false };
+        /** IndexBuilder::sparseWindowOffsets( data ), when asked for. */
+        std::vector<bool> referencedWindowOffsets;
+        /** Empty, or totalSize() bytes allocated ahead for the resolved
+         * output when the chunk is likely kept. */
+        std::vector<std::uint8_t> keptBuffer;
     };
 
     struct MemberResult
@@ -224,6 +234,9 @@ public:
                         result.startedAtStoredBlock = stored;
                         return result;
                     }
+                    RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_candidates_rejected_total",
+                                               "Block-finder candidates whose speculative decode "
+                                               "failed.", 1 );
                     if ( decoded.error == Error::EXCEEDED_OUTPUT_LIMIT ) {
                         /* The output budget is per chunk, not per candidate:
                          * retrying further candidates would multiply the
@@ -442,29 +455,38 @@ public:
 
     /**
      * Decompress one gzip member's Deflate stream in parallel from guessed
-     * chunk offsets, stitching sequentially. Returns size, CRC32, and the
-     * footer position; throws InvalidGzipStreamError when the stream is
-     * undecodable. The caller verifies the returned CRC against the footer —
-     * that verification, not the block finding, is the correctness
-     * authority.
+     * chunk offsets. Returns size, CRC32, and the footer position; throws
+     * InvalidGzipStreamError when the stream is undecodable. The caller
+     * verifies the returned CRC against the footer — that verification, not
+     * the block finding, is the correctness authority.
      *
-     * When @p collectOutput is non-null the decompressed bytes are appended
-     * to it; otherwise they are discarded after CRC/window accounting
-     * (decompressAll semantics), keeping memory bounded by the in-flight
-     * chunk batch.
+     * Stage two is split between the consumer and the pool. The consumer
+     * resolves only each chunk's last 32 KiB, which is all the next chunk's
+     * window needs (slideWindow). The full marker replacement and the
+     * chunk's CRC32 run as tasks on the sweep's pool (resolvePiece, up to
+     * `parallelism` byte ranges per chunk), at most batchLimit chunks of
+     * them pending at once; the consumer folds the range CRCs in stream
+     * order with simd::crc32Combine.
      *
      * When @p indexBuilder is non-null, every consumed chunk boundary is
      * recorded as a checkpoint with the propagated window — index
      * construction as a byproduct of the sweep (member-relative uncompressed
-     * offsets; the caller advances the member base).
+     * offsets; the caller advances the member base). With @p keptChunks as
+     * well, each checkpoint harvested while keptChunks->size() < @p keepLimit
+     * appends its chunk there: field for field what
+     * decodeChunkFromCheckpoint() returns for that checkpoint, except
+     * reachedStreamEnd, which only the caller knows (another member may
+     * follow). Only kept chunks hold output; past them, memory stays bounded
+     * by the in-flight batches.
      */
     [[nodiscard]] static MemberResult
     decompressMember( const FileReader& file,
                       std::size_t firstDeflateByte,
                       std::size_t parallelism,
                       std::size_t chunkSizeBytes,
-                      std::vector<std::uint8_t>* collectOutput = nullptr,
-                      index::IndexBuilder* indexBuilder = nullptr )
+                      index::IndexBuilder* indexBuilder = nullptr,
+                      std::vector<DecodedChunk>* keptChunks = nullptr,
+                      std::size_t keepLimit = 0 )
     {
         const auto fileSize = file.size();
         const auto fileBits = fileSize * 8;
@@ -496,11 +518,25 @@ public:
          * values (plus the caller-owned file) — never locals of this frame
          * that unwinding could destroy while workers still run. */
         ThreadPool pool( std::max<std::size_t>( 1, parallelism ) );
-        const auto dispatch = [&pool, &file, startBit, chunkBits, chunkOutputCap] ( std::size_t index ) {
-            return pool.submit( [&file, startBit, chunkBits, index, chunkOutputCap] () {
-                return decodeChunkFromGuess( file, startBit + index * chunkBits,
-                                             startBit + ( index + 1 ) * chunkBits,
-                                             chunkOutputCap );
+        /* Work the consumer would otherwise do serially runs on the worker
+         * that decoded the chunk: the sparse-window scan over all its
+         * markers, and — for the chunks that will likely be kept, by grid
+         * position — allocating (zeroing, faulting in) the kept buffer. */
+        const auto keepHint = keptChunks != nullptr
+                              ? keepLimit - std::min( keepLimit, keptChunks->size() ) : 0;
+        const auto dispatch = [&pool, &file, startBit, chunkBits, chunkOutputCap, keepHint,
+                               harvest = indexBuilder != nullptr] ( std::size_t index ) {
+            return pool.submit( [&file, startBit, chunkBits, index, chunkOutputCap, keepHint, harvest] () {
+                auto chunk = decodeChunkFromGuess( file, startBit + index * chunkBits,
+                                                   startBit + ( index + 1 ) * chunkBits,
+                                                   chunkOutputCap );
+                if ( harvest && ( chunk.error == Error::NONE ) ) {
+                    chunk.referencedWindowOffsets = index::IndexBuilder::sparseWindowOffsets( chunk.data );
+                    if ( index < keepHint ) {
+                        chunk.keptBuffer.resize( chunk.data.totalSize() );
+                    }
+                }
+                return chunk;
             } );
         };
 
@@ -519,14 +555,56 @@ public:
         MemberResult member;
         std::uint32_t crc = 0;
         std::vector<std::uint8_t> window;
-        std::vector<std::uint8_t> resolved;
         std::size_t expectedBit = startBit;
         bool reachedStreamEnd = false;
+
+        /* Stage-two tasks, folded strictly in stream order: one job per
+         * chunk, split into up to `parallelism` byte ranges of at least
+         * MIN_RESOLVE_RANGE, so one large chunk does not resolve on a
+         * single worker while the others idle. keptIndex names the kept
+         * chunk the resolved bytes belong to. */
+        constexpr auto NOT_KEPT = std::numeric_limits<std::size_t>::max();
+        struct PendingResolve
+        {
+            std::shared_ptr<ResolveJob> job;
+            std::vector<std::future<std::uint32_t> > ranges;
+            std::size_t rangeBytes{ 0 };
+            std::size_t size{ 0 };
+            std::size_t keptIndex{ NOT_KEPT };
+        };
+        std::deque<PendingResolve> pendingResolves;
+        const auto foldOldestResolve = [&] () {
+            auto& pending = pendingResolves.front();
+            std::uint32_t chunkCrc = 0;
+            for ( std::size_t i = 0; i < pending.ranges.size(); ++i ) {
+                const auto rangeCrc = [&] () {
+                    telemetry::Span waitSpan{ "pipeline", "chunk.wait" };
+                    return pending.ranges[i].get();
+                }();
+                const auto rangeEnd = std::min( pending.size, ( i + 1 ) * pending.rangeBytes );
+                chunkCrc = simd::crc32Combine( chunkCrc, rangeCrc, rangeEnd - i * pending.rangeBytes );
+            }
+            crc = simd::crc32Combine( crc, chunkCrc, pending.size );
+            if ( pending.keptIndex != NOT_KEPT ) {
+                auto& kept = ( *keptChunks )[pending.keptIndex];
+                kept.trailingCrc32 = simd::crc32Combine( kept.trailingCrc32, chunkCrc, pending.size );
+                if ( kept.data.empty() ) {
+                    kept.data = std::move( pending.job->output );
+                } else {
+                    kept.data.insert( kept.data.end(), pending.job->output.begin(),
+                                      pending.job->output.end() );
+                }
+            }
+            /* Every range task finished: nothing reads the chunk any more. */
+            deflate::DecodedDataPool::release( std::move( pending.job->data ) );
+            pendingResolves.pop_front();
+        };
+        const auto keptBegin = keptChunks != nullptr ? keptChunks->size() : 0;
+        std::size_t keptIndex = NOT_KEPT;  /* kept chunk of the latest checkpoint */
 
         for ( std::size_t index = 0; index < chunkCount; ++index ) {
             ++member.chunkCount;  /* chunks actually consumed, not the guess grid */
             ChunkResult chunk;
-            bool speculativeAccepted = false;
             if ( index == 0 ) {
                 chunk = decodeChunkAtOffset( file, startBit, guessBegin( 1 ), chunkOutputCap,
                                              { window.data(), window.size() } );
@@ -541,7 +619,10 @@ public:
                         + std::string( toString( chunk.error ) ) );
                 }
             } else {
-                chunk = inFlight.front().get();
+                {
+                    telemetry::Span waitSpan{ "pipeline", "chunk.wait" };
+                    chunk = inFlight.front().get();
+                }
                 inFlight.erase( inFlight.begin() );
                 topUp();
                 /* A stored-block start is reported at its byte-aligned LEN
@@ -553,7 +634,6 @@ public:
                 const bool stitchMatches =
                     ( chunk.decodedStartBit == expectedBit )
                     || ( chunk.startedAtStoredBlock && ( chunk.decodedStartBit == storedDataBit ) );
-                speculativeAccepted = ( chunk.error == Error::NONE ) && stitchMatches;
                 if ( ( chunk.error != Error::NONE ) || !stitchMatches ) {
                     /* The finder was fooled, skipped an unfindable block, or
                      * the guess landed beyond the member: re-decode from the
@@ -579,48 +659,68 @@ public:
              * accepted stored-block candidate the real block header at
              * expectedBit decodes identically — the unread padding carries
              * no data), and `window` is exactly the history a decode
-             * resuming there needs. The chunk's surviving markers enable a
-             * sparse window (see IndexBuilder). */
+             * resuming there needs. An accepted speculative chunk's
+             * surviving markers enable a sparse window (see IndexBuilder); a
+             * re-decoded chunk carries no offsets. A new checkpoint starts a
+             * new kept chunk while the keep budget lasts; a chunk whose
+             * boundary was not harvested (zero blocks, checkpoint spacing)
+             * belongs to the previous checkpoint's. */
             if ( indexBuilder != nullptr ) {
+                const auto checkpointsBefore = indexBuilder->checkpointCount();
                 indexBuilder->addCheckpoint( expectedBit, member.uncompressedSize,
                                              { window.data(), window.size() },
-                                             speculativeAccepted ? &chunk.data : nullptr );
-            }
-
-            /* Stage two: resolve markers against the propagated window. */
-            {
-                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                resolved.clear();
-                deflate::resolveInto( chunk.data, { window.data(), window.size() }, resolved );
-
-                if ( !resolved.empty() ) {
-                    crc = simd::crc32( crc, resolved.data(), resolved.size() );
-                    member.uncompressedSize += resolved.size();
-                    if ( collectOutput != nullptr ) {
-                        collectOutput->insert( collectOutput->end(), resolved.begin(), resolved.end() );
-                    }
-                    /* Slide the window: last WINDOW_SIZE bytes of (window ++ resolved). */
-                    if ( resolved.size() >= deflate::WINDOW_SIZE ) {
-                        window.assign( resolved.end() - deflate::WINDOW_SIZE, resolved.end() );
-                    } else {
-                        const auto keep = std::min( window.size(),
-                                                    deflate::WINDOW_SIZE - resolved.size() );
-                        window.erase( window.begin(),
-                                      window.end() - static_cast<std::ptrdiff_t>( keep ) );
-                        window.insert( window.end(), resolved.begin(), resolved.end() );
+                                             chunk.referencedWindowOffsets );
+                if ( indexBuilder->checkpointCount() > checkpointsBefore ) {
+                    keptIndex = NOT_KEPT;
+                    if ( ( keptChunks != nullptr ) && ( keptChunks->size() < keepLimit ) ) {
+                        keptIndex = keptChunks->size();
+                        keptChunks->emplace_back();
                     }
                 }
             }
 
+            /* Stage two, consumer side: only the window moves on here. The
+             * range tasks need the window the chunk's markers refer to. */
+            auto job = std::make_shared<ResolveJob>();
+            {
+                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
+                if ( !chunk.data.marked.empty() ) {
+                    job->window = window;
+                }
+                slideWindow( window, chunk.data );
+            }
+            PendingResolve pending;
+            pending.size = chunk.data.totalSize();
+            pending.keptIndex = keptIndex;
+            member.uncompressedSize += pending.size;
+            if ( keptIndex != NOT_KEPT ) {
+                job->output = std::move( chunk.keptBuffer );
+                job->output.resize( pending.size );
+            }
+            job->data = std::move( chunk.data );
+            const auto rangeCount = std::clamp<std::size_t>( pending.size / MIN_RESOLVE_RANGE, 1,
+                                                             std::max<std::size_t>( 1, parallelism ) );
+            pending.rangeBytes = ceilDiv( pending.size, rangeCount );
+            for ( std::size_t begin = 0; begin < pending.size; begin += pending.rangeBytes ) {
+                pending.ranges.push_back( pool.submit(
+                    [job, begin, end = std::min( pending.size, begin + pending.rangeBytes )] () {
+                        return resolvePiece( *job, begin, end );
+                    } ) );
+            }
+            pending.job = std::move( job );
+            pendingResolves.push_back( std::move( pending ) );
+            while ( pendingResolves.size() > batchLimit ) {
+                foldOldestResolve();
+            }
+
             expectedBit = chunk.decodedEndBit;
-            const auto endedStream = chunk.reachedStreamEnd;
-            /* The chunk's buffers are fully consumed (markers resolved,
-             * checkpoint harvested): recycle them for the next decode. */
-            deflate::DecodedDataPool::release( std::move( chunk.data ) );
-            if ( endedStream ) {
+            if ( chunk.reachedStreamEnd ) {
                 reachedStreamEnd = true;
                 break;
             }
+        }
+        while ( !pendingResolves.empty() ) {
+            foldOldestResolve();
         }
 
         if ( !reachedStreamEnd ) {
@@ -629,15 +729,197 @@ public:
         }
         member.crc32 = crc;
         member.footerStartByte = ceilDiv<std::size_t>( expectedBit, 8 );
+
+        if ( keptChunks != nullptr ) {
+            /* The member's last checkpoint chunk, when kept, is where the
+             * member ends: its bytes form one segment closed by the footer. */
+            if ( keptIndex != NOT_KEPT ) {
+                auto& last = ( *keptChunks )[keptIndex];
+                last.memberEnds.push_back( { last.data.size(), last.trailingCrc32,
+                                             member.footerStartByte } );
+                last.trailingCrc32 = 0;
+                last.deflateEndOffset = member.footerStartByte;
+            }
+            for ( auto i = keptBegin; i < keptChunks->size(); ++i ) {
+                ( *keptChunks )[i].crc32 = combineSegmentCrcs( ( *keptChunks )[i] );
+            }
+        }
         return member;
     }
 
+    struct SweepResult
+    {
+        GzipIndex index;
+        /** Chunks of the first keptChunks.size() checkpoints, each field for
+         * field what decodeChunkFromCheckpoint() returns for it. */
+        std::vector<DecodedChunk> keptChunks;
+    };
+
+    /**
+     * The footer-verified two-stage sweep over a whole gzip stream:
+     * decompressMember() per member, every member's CRC32 and ISIZE checked
+     * against its own footer, and the seek index harvested on the way. With
+     * guessed offsets the footer is the correctness authority, so a
+     * mismatch throws ChecksumError; an undecodable stream throws
+     * InvalidGzipStreamError. The chunks of the first @p keepLimit
+     * checkpoints are kept, so a reader adopting the index need not decode
+     * them again.
+     */
+    [[nodiscard]] static SweepResult
+    sweepVerified( const FileReader& file,
+                   std::size_t parallelism,
+                   std::size_t chunkSizeBytes,
+                   std::size_t checkpointSpacingBytes,
+                   std::size_t keepLimit )
+    {
+        const auto fileSize = file.size();
+        index::IndexBuilder builder( checkpointSpacingBytes );
+        SweepResult result;
+        std::size_t memberStart = 0;
+        while ( true ) {
+            std::vector<std::uint8_t> headerBytes(
+                std::min<std::size_t>( fileSize - memberStart, 64 * KiB ) );
+            if ( file.pread( headerBytes.data(), headerBytes.size(), memberStart )
+                 != headerBytes.size() ) {
+                throw FileIoError( "Short read of gzip header" );
+            }
+            const auto deflateStart = parseGzipHeader( { headerBytes.data(), headerBytes.size() } );
+
+            const auto member = decompressMember( file, memberStart + deflateStart, parallelism,
+                                                  chunkSizeBytes, &builder,
+                                                  &result.keptChunks, keepLimit );
+
+            std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
+            if ( ( member.footerStartByte + GZIP_FOOTER_SIZE > fileSize )
+                 || ( file.pread( footerBytes, GZIP_FOOTER_SIZE, member.footerStartByte )
+                      != GZIP_FOOTER_SIZE ) ) {
+                throw InvalidGzipStreamError( "Cannot read gzip footer" );
+            }
+            const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE },
+                                                 GZIP_FOOTER_SIZE );
+            if ( ( member.crc32 != footer.crc32 )
+                 || ( static_cast<std::uint32_t>( member.uncompressedSize )
+                      != footer.uncompressedSizeModulo32 ) ) {
+                throw ChecksumError( "Two-stage parallel decode does not match the gzip footer" );
+            }
+            builder.finishMember( member.uncompressedSize );
+
+            /* Another member may follow; anything else is trailing padding,
+             * ignored like `gzip -d`. */
+            const auto next = member.footerStartByte + GZIP_FOOTER_SIZE;
+            std::uint8_t magic[2];
+            if ( ( next + 2 <= fileSize ) && ( file.pread( magic, 2, next ) == 2 )
+                 && ( magic[0] == GZIP_MAGIC_1 ) && ( magic[1] == GZIP_MAGIC_2 ) ) {
+                memberStart = next;
+                continue;
+            }
+            result.index = builder.build( fileSize );
+            /* The last checkpoint's chunk runs to the stream end. */
+            if ( !result.keptChunks.empty()
+                 && ( result.keptChunks.size() == result.index.checkpoints.size() ) ) {
+                result.keptChunks.back().reachedStreamEnd = true;
+            }
+            return result;
+        }
+    }
+
 private:
+    /** One sweep chunk's stage two, shared by the range tasks that
+     * resolve it: the stage-one output, the window its markers refer to,
+     * and — when the chunk is kept — the buffer the tasks fill. */
+    struct ResolveJob
+    {
+        deflate::DecodedData data;
+        std::vector<std::uint8_t> window;
+        std::vector<std::uint8_t> output;
+    };
+
+    /** Write the resolved bytes [begin, end) of the stage-one output
+     * @p data, whose markers refer to @p window, to @p output. */
+    static void
+    resolveRange( const deflate::DecodedData& data,
+                  VectorView<std::uint8_t> window,
+                  std::size_t begin,
+                  std::size_t end,
+                  std::uint8_t* output )
+    {
+        if ( begin < data.marked.size() ) {
+            const auto count = std::min( end, data.marked.size() ) - begin;
+            deflate::replaceMarkers( { data.marked.data() + begin, count }, window, output );
+            output += count;
+            begin += count;
+        }
+        auto segmentBegin = data.marked.size();
+        for ( const auto& segment : data.plain ) {
+            if ( begin >= end ) {
+                break;
+            }
+            const auto segmentEnd = segmentBegin + segment.data.size();
+            if ( segmentEnd > begin ) {
+                const auto count = std::min( end, segmentEnd ) - begin;
+                std::memcpy( output, segment.data.data() + ( begin - segmentBegin ), count );
+                output += count;
+                begin += count;
+            }
+            segmentBegin = segmentEnd;
+        }
+    }
+
+    /**
+     * Stage two for the bytes [begin, end) of one sweep chunk, run on a
+     * pool worker: resolve them block by block and CRC32 each block while
+     * it is cache-hot, into the kept buffer when there is one. Returns the
+     * range's CRC32.
+     */
+    [[nodiscard]] static std::uint32_t
+    resolvePiece( ResolveJob& job, std::size_t begin, std::size_t end )
+    {
+        telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
+        constexpr std::size_t BLOCK = 128 * KiB;
+        static thread_local std::vector<std::uint8_t> scratch( BLOCK );
+        const bool keep = !job.output.empty();
+        std::uint32_t crc = 0;
+        for ( auto blockBegin = begin; blockBegin < end; blockBegin += BLOCK ) {
+            const auto blockEnd = std::min( end, blockBegin + BLOCK );
+            auto* const output = keep ? job.output.data() + blockBegin : scratch.data();
+            resolveRange( job.data, job.window, blockBegin, blockEnd, output );
+            crc = simd::crc32( crc, output, blockEnd - blockBegin );
+        }
+        return crc;
+    }
+
+    /**
+     * Slide @p window past the chunk @p data: keep the last WINDOW_SIZE
+     * bytes of ( window ++ resolved data ), resolving only the markers that
+     * land in that tail — all the next chunk needs. The range tasks resolve
+     * the whole chunk on the pool.
+     */
+    static void
+    slideWindow( std::vector<std::uint8_t>& window, const deflate::DecodedData& data )
+    {
+        const auto total = data.totalSize();
+        if ( total == 0 ) {
+            return;
+        }
+        const auto tail = std::min( total, deflate::WINDOW_SIZE );
+        const auto carried = std::min( window.size(), deflate::WINDOW_SIZE - tail );
+        std::vector<std::uint8_t> next( carried + tail );
+        if ( carried > 0 ) {
+            std::memcpy( next.data(), window.data() + ( window.size() - carried ), carried );
+        }
+        resolveRange( data, window, total - tail, total, next.data() + carried );
+        window.swap( next );
+    }
+
     /* Covers the boundary block overshooting the end guess in one read for
      * typical block sizes; the TRUNCATED retry loop (margin *= 4) widens it
      * for the rare longer block, so a small start avoids per-chunk read
      * amplification. */
     static constexpr std::size_t INITIAL_DECODE_OVERSHOOT = 256 * KiB;
+
+    /* Smallest byte range one stage-two task resolves: below it the task
+     * hand-off costs more than the parallel resolve saves. */
+    static constexpr std::size_t MIN_RESOLVE_RANGE = 1 * MiB;
 
     /* Pre-size heuristic for the decode buffers: gzip on text compresses
      * ~3-4x, so reserving 4x the compressed span usually avoids every

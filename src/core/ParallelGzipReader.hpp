@@ -19,7 +19,6 @@
 #include "../gzip/GzipReader.hpp"
 #include "../index/BgzfIndex.hpp"
 #include "../index/GzipIndex.hpp"
-#include "../index/IndexBuilder.hpp"
 #include "../io/SharedFileReader.hpp"
 #include "ChunkFetcher.hpp"
 #include "DeflateChunks.hpp"
@@ -153,14 +152,15 @@ public:
     /**
      * Verified streaming decompression: run the footer-verified sweep
      * first (throwing on real corruption exactly like the sink-less
-     * overload), THEN stream the bytes through @p sink. The sweep's chunks
-     * stay in the fetcher cache, so the streaming pass mostly re-reads
-     * instead of re-decoding. When the chunked state cannot serve the
-     * stream the verification sweep just proved decodable (footer mismatch
-     * poisoned it, or a false restart boundary could not be merged away),
-     * the serial zlib authority streams it instead — the consumer never
-     * sees unverified bytes and never loses a stream the serial decoder
-     * can handle.
+     * overload), THEN hand @p sink the bytes straight out of the decoded
+     * chunks. For a stream without restart points the sweep keeps its
+     * chunks (up to the cache capacity) and installs them in the fetcher,
+     * so only chunks past that prefix decode a second time. When the
+     * chunked state cannot serve the stream the verification sweep just
+     * proved decodable (footer mismatch poisoned it, or a false restart
+     * boundary could not be merged away), the serial zlib authority streams
+     * it instead — the consumer never sees unverified bytes and never loses
+     * a stream the serial decoder can handle.
      */
     [[nodiscard]] std::size_t
     decompressAll( const std::function<void( BufferView )>& sink )
@@ -175,16 +175,12 @@ public:
         if ( !m_parallelResultUntrusted ) {
             try {
                 seek( 0 );
-                std::vector<std::uint8_t> buffer( 4 * MiB );
-                while ( true ) {
-                    const auto got = read( buffer.data(), buffer.size() );
-                    if ( got == 0 ) {
-                        break;
-                    }
-                    sink( { buffer.data(), got } );
-                    emitted += got;
-                }
-                return emitted;
+                return walkChunks( std::numeric_limits<std::size_t>::max(),
+                                   [&] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                         std::size_t offsetInChunk, std::size_t size ) {
+                                       sink( { chunk->data.data() + offsetInChunk, size } );
+                                       emitted += size;
+                                   } );
             } catch ( const RapidgzipError& ) {
                 /* The chunked state cannot replay what the verification
                  * sweep answered serially; fall through to the authority.
@@ -237,34 +233,11 @@ public:
     [[nodiscard]] std::size_t
     read( std::uint8_t* buffer, std::size_t size )
     {
-        ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), m_position );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
-                                     - m_uncompressedOffsets[chunkIndex];
-            if ( chunk->data.size() != claimedSpan ) {
-                /* Only possible when an imported index misstates a chunk's
-                 * uncompressed span — never with discovered offsets. Both
-                 * directions are corruption: overstated spans would read
-                 * out of bounds, understated ones would return bytes from
-                 * the wrong stream position. */
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
-            const auto toCopy = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            std::memcpy( buffer + produced, chunk->data.data() + offsetInChunk, toCopy );
-            produced += toCopy;
-            m_position += toCopy;
-        }
-        return produced;
+        return walkChunks( size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                             std::size_t offsetInChunk, std::size_t take ) {
+            std::memcpy( buffer, chunk->data.data() + offsetInChunk, take );
+            buffer += take;
+        } );
     }
 
     /** Zero-copy variant of read(): lends refcounted spans straight out of
@@ -275,29 +248,10 @@ public:
     [[nodiscard]] std::size_t
     readSpans( std::size_t size, std::vector<OwnedSpan>& spans )
     {
-        ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), m_position );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
-                                     - m_uncompressedOffsets[chunkIndex];
-            if ( chunk->data.size() != claimedSpan ) {
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
-            const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
+        return walkChunks( size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                            std::size_t offsetInChunk, std::size_t take ) {
             spans.push_back( lendChunkSpan( chunk, offsetInChunk, take ) );
-            produced += take;
-            m_position += take;
-        }
-        return produced;
+        } );
     }
 
     /* --- index interface --------------------------------------------- */
@@ -409,64 +363,68 @@ public:
 
 private:
     /**
-     * Whole-stream decompression via the two-stage pipeline: per member,
-     * parallel chunk decodes from guessed bit offsets (GzipChunkFetcher),
-     * sequential marker resolution with window propagation, and MANDATORY
-     * footer verification — with guessed offsets the CRC32 check is the
-     * correctness authority, so setVerifyChecksums() does not disable it
-     * here. Throws on any failure; the caller falls back.
+     * The one chunk loop under read(), readSpans() and the sink emission:
+     * hand @p visit each chunk covering [position, position + size) with
+     * the offset and length of the covered part, advancing the position.
+     * Returns the bytes visited (short at EOF).
+     */
+    template<typename Visitor>
+    [[nodiscard]] std::size_t
+    walkChunks( std::size_t size, const Visitor& visit )
+    {
+        ensureOffsetsKnown();
+        const auto totalSize = m_uncompressedOffsets.back();
+
+        std::size_t produced = 0;
+        while ( ( produced < size ) && ( m_position < totalSize ) ) {
+            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
+                                                m_uncompressedOffsets.end(), m_position );
+            const auto chunkIndex = static_cast<std::size_t>(
+                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
+            const auto chunk = m_fetcher->get( chunkIndex );
+            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
+                                     - m_uncompressedOffsets[chunkIndex];
+            if ( chunk->data.size() != claimedSpan ) {
+                /* Only possible when an imported index misstates a chunk's
+                 * uncompressed span — never with discovered offsets. Both
+                 * directions are corruption: overstated spans would read
+                 * out of bounds, understated ones would return bytes from
+                 * the wrong stream position. */
+                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
+                                      "stale or corrupt index" );
+            }
+            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
+            const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
+            visit( chunk, offsetInChunk, take );
+            produced += take;
+            m_position += take;
+        }
+        return produced;
+    }
+
+    /**
+     * Whole-stream decompression via the footer-verified two-stage sweep
+     * (GzipChunkFetcher::sweepVerified). With guessed offsets the CRC32
+     * check is the correctness authority, so setVerifyChecksums() does not
+     * disable it here. Throws on any failure; the caller falls back. Once
+     * every member verified, the harvested index is adopted so seek()/read()
+     * resume from checkpoints, and the sweep's kept chunks are installed in
+     * the new fetcher, so they are not decoded a second time.
      */
     [[nodiscard]] std::size_t
     decompressAllTwoStage()
     {
-        const auto fileSize = m_file->size();
-        index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
-        std::size_t memberStart = 0;
-        std::size_t total = 0;
-        while ( true ) {
-            std::vector<std::uint8_t> headerBytes(
-                std::min<std::size_t>( fileSize - memberStart, 64 * KiB ) );
-            if ( m_file->pread( headerBytes.data(), headerBytes.size(), memberStart )
-                 != headerBytes.size() ) {
-                throw FileIoError( "Short read of gzip header" );
-            }
-            const auto deflateStart = parseGzipHeader( { headerBytes.data(), headerBytes.size() } );
-
-            const auto member = GzipChunkFetcher::decompressMember(
-                *m_file, memberStart + deflateStart, m_configuration.parallelism,
-                m_configuration.chunkSizeBytes, nullptr, &builder );
-
-            std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
-            if ( ( member.footerStartByte + GZIP_FOOTER_SIZE > fileSize )
-                 || ( m_file->pread( footerBytes, GZIP_FOOTER_SIZE, member.footerStartByte )
-                      != GZIP_FOOTER_SIZE ) ) {
-                throw InvalidGzipStreamError( "Cannot read gzip footer" );
-            }
-            const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE },
-                                                 GZIP_FOOTER_SIZE );
-            if ( ( member.crc32 != footer.crc32 )
-                 || ( static_cast<std::uint32_t>( member.uncompressedSize )
-                      != footer.uncompressedSizeModulo32 ) ) {
-                throw ChecksumError( "Two-stage parallel decode does not match the gzip footer" );
-            }
-            total += member.uncompressedSize;
-            builder.finishMember( member.uncompressedSize );
-
-            /* Another member may follow; anything else is trailing padding,
-             * ignored like `gzip -d`. */
-            const auto next = member.footerStartByte + GZIP_FOOTER_SIZE;
-            std::uint8_t magic[2];
-            if ( ( next + 2 <= fileSize ) && ( m_file->pread( magic, 2, next ) == 2 )
-                 && ( magic[0] == GZIP_MAGIC_1 ) && ( magic[1] == GZIP_MAGIC_2 ) ) {
-                memberStart = next;
-                continue;
-            }
-            /* Every member verified against its footer: the harvested index
-             * is trustworthy. Adopt it so seek()/read() resume from
-             * checkpoints instead of re-running (or serializing) the sweep. */
-            adoptIndex( std::make_shared<const GzipIndex>( builder.build( fileSize ) ) );
-            return total;
+        auto sweep = GzipChunkFetcher::sweepVerified(
+            *m_file, m_configuration.parallelism, m_configuration.chunkSizeBytes,
+            m_configuration.checkpointSpacingBytes, ChunkFetcher::cacheCapacity( m_configuration ) );
+        const auto total = sweep.index.uncompressedSizeBytes;
+        adoptIndex( std::make_shared<const GzipIndex>( std::move( sweep.index ) ) );
+        ensureFetcher();
+        for ( std::size_t i = 0; i < sweep.keptChunks.size(); ++i ) {
+            m_fetcher->install( i, std::make_shared<const DecodedChunk>(
+                                       std::move( sweep.keptChunks[i] ) ) );
         }
+        return total;
     }
 
     /** Switch to index-driven chunking: offsets come from the checkpoints,

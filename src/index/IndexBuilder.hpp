@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -49,14 +50,15 @@ public:
      * Record the chunk boundary at absolute @p compressedOffsetBits whose
      * decode starts at member-relative uncompressed offset
      * @p uncompressedOffsetInMember with @p window as preceding history.
-     * @p markedData is the chunk's stage-one output when the speculative
-     * decode was accepted (for sparse windows), nullptr otherwise.
+     * @p referencedOffsets is sparseWindowOffsets() of the chunk's stage-one
+     * output when the speculative decode was accepted; empty keeps the full
+     * window.
      */
     void
     addCheckpoint( std::size_t compressedOffsetBits,
                    std::size_t uncompressedOffsetInMember,
                    BufferView window,
-                   const deflate::DecodedData* markedData = nullptr )
+                   const std::vector<bool>& referencedOffsets = {} )
     {
         const auto uncompressedOffset = m_uncompressedBase + uncompressedOffsetInMember;
         if ( !m_index.checkpoints.empty() ) {
@@ -76,10 +78,8 @@ public:
         if ( window.empty() ) {
             return;
         }
-        if ( ( markedData != nullptr ) && !markedData->marked.empty()
-             && ( markedData->totalSize() >= deflate::WINDOW_SIZE ) ) {
-            m_index.windows.insertSparse( compressedOffsetBits, window,
-                                          referencedWindowOffsets( *markedData ) );
+        if ( !referencedOffsets.empty() ) {
+            m_index.windows.insertSparse( compressedOffsetBits, window, referencedOffsets );
         } else {
             m_index.windows.insert( compressedOffsetBits, window );
         }
@@ -108,15 +108,32 @@ public:
         return std::move( m_index );
     }
 
-    /** Which full-window offsets (0 = oldest byte) @p data's markers reference. */
+    /**
+     * Which full-window offsets (0 = oldest byte) the markers of the
+     * stage-one output @p data reference, or empty when @p data cannot
+     * bound its window: no markers, or less than a window of output.
+     * Scans every marked symbol, so the sweep runs it on the worker that
+     * decoded the chunk.
+     */
     [[nodiscard]] static std::vector<bool>
-    referencedWindowOffsets( const deflate::DecodedData& data )
+    sparseWindowOffsets( const deflate::DecodedData& data )
     {
-        std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
+        if ( data.marked.empty() || ( data.totalSize() < deflate::WINDOW_SIZE ) ) {
+            return {};
+        }
+        /* Branch-free byte table: a marker ORs 1 into its window slot, a
+         * literal ORs 0 into slot (symbol & 0x7FFF). On marker-dense chunks
+         * this takes half the time of testing each symbol into a
+         * vector<bool>. */
+        static_assert( deflate::MARKER_BASE == 0x8000U, "the sign bit marks a marker" );
+        static_assert( deflate::WINDOW_SIZE == 0x8000U, "the low 15 bits are the window offset" );
+        std::array<std::uint8_t, deflate::WINDOW_SIZE> hit{};
         for ( const auto symbol : data.marked ) {
-            if ( symbol >= deflate::MARKER_BASE ) {
-                referenced[symbol - deflate::MARKER_BASE] = true;
-            }
+            hit[symbol & ( deflate::WINDOW_SIZE - 1U )] |= static_cast<std::uint8_t>( symbol >> 15U );
+        }
+        std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
+        for ( std::size_t i = 0; i < hit.size(); ++i ) {
+            referenced[i] = hit[i] != 0;
         }
         return referenced;
     }

@@ -8,6 +8,9 @@
  * non-compressed finder must locate stored-block LEN fields.
  */
 
+#include <algorithm>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "blockfinder/DynamicBlockFinderNaive.hpp"
@@ -221,12 +224,66 @@ testCraftedAlmostValidHeaders()
 
 }  // namespace
 
+/**
+ * findFullFlushMarkers() against a naive byte-by-byte comparison: markers
+ * planted on every position around the 4 MiB scan-block overlap, in runs
+ * that overlap each other (00 00 00 FF FF FF), and in the last 4 bytes of
+ * the search range must all be found, exactly once and in order.
+ */
+void
+testFullFlushMarkerScan()
+{
+    constexpr std::uint8_t MARKER[4] = { 0x00, 0x00, 0xFF, 0xFF };
+    constexpr std::size_t BLOCK = 4 * MiB;  /* the scan's read block */
+    auto data = workloads::randomData( 2 * BLOCK + 4096, 0x5CA4 );
+    const auto plant = [&data] ( std::size_t at, std::initializer_list<std::uint8_t> bytes ) {
+        std::copy( bytes.begin(), bytes.end(), data.begin() + static_cast<std::ptrdiff_t>( at ) );
+    };
+    /* Block ends sit at searchBegin + k * BLOCK: cover both scan origins below. */
+    for ( const std::size_t blockEnd : { BLOCK, BLOCK + 1001 } ) {
+        for ( auto at = blockEnd - 6; at <= blockEnd + 2; at += 4 ) {
+            plant( at, { 0x00, 0x00, 0xFF, 0xFF } );
+        }
+        plant( blockEnd - 3, { 0x00, 0x00, 0xFF, 0xFF } );  /* straddles the block end */
+    }
+    plant( 2 * BLOCK - 2, { 0x00, 0x00, 0xFF, 0xFF } );
+    plant( 1000, { 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF } );
+    plant( 2000, { 0xFF, 0x00, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0xFF, 0xFF } );
+    plant( data.size() - 4, { 0x00, 0x00, 0xFF, 0xFF } );
+
+    const auto naive = [&data, &MARKER] ( std::size_t begin, std::size_t end ) {
+        std::vector<std::size_t> ends;
+        for ( auto at = begin; at + 4 <= end; ++at ) {
+            if ( std::equal( MARKER, MARKER + 4, data.begin() + static_cast<std::ptrdiff_t>( at ) ) ) {
+                ends.push_back( at + 4 );
+            }
+        }
+        return ends;
+    };
+
+    const MemoryFileReader file( data );
+    const std::vector<std::pair<std::size_t, std::size_t> > ranges = {
+        { 0, data.size() },
+        { 1001, data.size() },          /* starts inside a planted run */
+        { BLOCK - 5, data.size() - 1 },  /* cuts the last marker short */
+        { 3, BLOCK + 1 },                /* ends inside the overlap */
+        { data.size() - 4, data.size() },
+    };
+    for ( const auto& [begin, end] : ranges ) {
+        const auto expected = naive( begin, end );
+        REQUIRE( findFullFlushMarkers( file, begin, end ) == expected );
+    }
+    REQUIRE( naive( 0, data.size() ).back() == data.size() );
+}
+
 int
 main()
 {
     /* Ground truth: pigz-style full flushes byte-align the stream and reset
      * the window, so each marker-end offset is a known Dynamic block start
      * (base64 data at level 6 always produces Dynamic blocks). */
+    testFullFlushMarkerScan();
+
     const auto data = workloads::base64Data( 4 * MiB, 0xB10C );
     const auto gz = compressPigzLike( { data.data(), data.size() }, 6, 256 * KiB );
     const auto deflateStart = parseGzipHeader( { gz.data(), gz.size() } );

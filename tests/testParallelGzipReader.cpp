@@ -6,6 +6,7 @@
  */
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -85,10 +86,14 @@ main()
         telemetry::setMetricsEnabled( true );
         const auto redecodesBefore =
             telemetry::Registry::instance().counterTotal( "rapidgzip_chunk_redecodes_total" );
-        const auto member = GzipChunkFetcher::decompressMember( file, deflateStart,
-                                                                /* parallelism */ 4,
-                                                                /* chunk size */ 1 * MiB,
-                                                                &parallel );
+        index::IndexBuilder builder;
+        std::vector<DecodedChunk> chunks;
+        const auto member = GzipChunkFetcher::decompressMember(
+            file, deflateStart, /* parallelism */ 4, /* chunk size */ 1 * MiB, &builder, &chunks,
+            std::numeric_limits<std::size_t>::max() );
+        for ( const auto& chunk : chunks ) {
+            parallel.insert( parallel.end(), chunk.data.begin(), chunk.data.end() );
+        }
         telemetry::setMetricsEnabled( false );
         REQUIRE( member.chunkCount > 1 );
         /* Most chunks must come from the SPECULATIVE guessed-offset decode —

@@ -84,6 +84,23 @@ struct ChunkFetcherConfiguration
     unsigned decodeRetryCount{ 2 };
 };
 
+/**
+ * Compressed bytes per chunk for archives whose restart points cost nothing
+ * to find (full-flush gzip, BGZF, zstd/lz4/bzip2 frames): about 2P chunks
+ * per file — two per worker, so one slow chunk does not leave the pool idle
+ * — and never more than the configured chunkSizeBytes, nor less than 64 KiB
+ * (per-chunk overhead). Files larger than 2P x chunkSizeBytes keep
+ * chunkSizeBytes. The two-stage sweep over plain gzip does not use this:
+ * its chunks also pay block finding.
+ */
+[[nodiscard]] inline std::size_t
+plannedChunkBytes( std::size_t compressedBytes, const ChunkFetcherConfiguration& configuration )
+{
+    const auto chunks = 2 * std::max<std::size_t>( 1, configuration.parallelism );
+    const auto perChunk = compressedBytes / chunks + ( compressedBytes % chunks != 0 ? 1 : 0 );
+    return std::min( configuration.chunkSizeBytes, std::max<std::size_t>( perChunk, 64 * KiB ) );
+}
+
 struct FetcherStatistics
 {
     std::size_t prefetchDispatched{ 0 };  /**< speculative chunk decodes submitted */
@@ -108,6 +125,14 @@ public:
      * runs concurrently on the pool workers). */
     using ChunkDecoder = std::function<DecodedChunk( const FileReader&, std::size_t index )>;
 
+    /** How get() prefetches: by the configured strategy, or at full depth
+     * from the first access for a pass that reads every chunk in order. */
+    enum class Access
+    {
+        BY_STRATEGY,
+        WHOLE_STREAM,
+    };
+
     /** Full-flush chunking: byte ranges, each raw-inflated with zlib. */
     ChunkFetcher( std::shared_ptr<const FileReader> file,
                   std::vector<ChunkBoundary> chunks,
@@ -117,23 +142,24 @@ public:
         m_chunkCount( m_chunks.size() ),
         m_configuration( configuration ),
         m_cacheCapacity( cacheCapacity( configuration ) ),
-        m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* boundary mode */ 1 ) ),
+        m_cacheToken( makeCacheToken( configuration, startBits( m_chunks ), /* boundary mode */ 1 ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
     /** Index-driven chunking: @p decoder owns the mapping from chunk index
-     * to checkpoint span; the prefetch/cache machinery is shared verbatim
-     * with the full-flush path. */
+     * to checkpoint span; @p chunkStartBits (one compressed bit offset per
+     * chunk) is the geometry the shared-cache key is derived from. The
+     * prefetch/cache machinery is shared verbatim with the full-flush path. */
     ChunkFetcher( std::shared_ptr<const FileReader> file,
-                  std::size_t chunkCount,
+                  const std::vector<std::size_t>& chunkStartBits,
                   ChunkDecoder decoder,
                   const ChunkFetcherConfiguration& configuration ) :
         m_file( std::move( file ) ),
-        m_chunkCount( chunkCount ),
+        m_chunkCount( chunkStartBits.size() ),
         m_decoder( std::move( decoder ) ),
         m_configuration( configuration ),
         m_cacheCapacity( cacheCapacity( configuration ) ),
-        m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* index mode */ 2 ) ),
+        m_cacheToken( makeCacheToken( configuration, chunkStartBits, /* index mode */ 2 ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
@@ -159,9 +185,9 @@ public:
         return m_statistics;
     }
 
-    /** Blocking chunk access; dispatches strategy-driven prefetches. */
+    /** Blocking chunk access; dispatches prefetches as @p access says. */
     [[nodiscard]] ChunkDataPtr
-    get( std::size_t index )
+    get( std::size_t index, Access access = Access::BY_STRATEGY )
     {
         std::shared_future<ChunkDataPtr> future;
         {
@@ -201,7 +227,7 @@ public:
                     ++m_statistics.cacheHits;
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
                                                "Repeat chunk accesses served from a cache tier.", 1 );
-                    dispatchPrefetches( index );
+                    dispatchPrefetches( index, access );
                     evictStaleEntries( index );
                     return sharedChunk;
                 }
@@ -211,7 +237,7 @@ public:
                 future = insertDecodeTask( index, /* prefetched */ false );
             }
 
-            dispatchPrefetches( index );
+            dispatchPrefetches( index, access );
             evictStaleEntries( index );
         }
         telemetry::Span waitSpan{ "pipeline", "chunk.wait" };
@@ -309,17 +335,34 @@ private:
         bool installedUnread{ false };
     };
 
+    [[nodiscard]] static std::vector<std::size_t>
+    startBits( const std::vector<ChunkBoundary>& chunks )
+    {
+        std::vector<std::size_t> result;
+        result.reserve( chunks.size() );
+        for ( const auto& chunk : chunks ) {
+            result.push_back( chunk.compressedBegin * 8 );
+        }
+        return result;
+    }
+
     [[nodiscard]] static std::uint64_t
     makeCacheToken( const ChunkFetcherConfiguration& configuration,
-                    std::size_t chunkCount,
+                    const std::vector<std::size_t>& chunkStartBits,
                     std::uint64_t modeTag )
     {
-        /* Chunk-table geometry is folded in so a re-chunked reader — e.g.
-         * after a false-boundary merge rebuilt the fetcher — can never hit
-         * entries keyed under the stale table. */
-        return mixHash( configuration.cacheIdentity )
-               ^ mixHash( ( static_cast<std::uint64_t>( chunkCount ) << 8U ) | modeTag )
-               ^ mixHash( configuration.chunkSizeBytes + 3 * configuration.checkpointSpacingBytes );
+        /* The real chunk geometry is folded in: readers of one archive
+         * share entries only when their chunks start at the same offsets
+         * (chunk i then covers the same bytes), whatever parallelism or
+         * configuration planned them; a re-chunked reader — e.g. after a
+         * false-boundary merge rebuilt the fetcher — never hits entries
+         * keyed under the stale table. */
+        auto token = mixHash( configuration.cacheIdentity )
+                     ^ mixHash( ( static_cast<std::uint64_t>( chunkStartBits.size() ) << 8U ) | modeTag );
+        for ( const auto start : chunkStartBits ) {
+            token = mixHash( token ^ start );
+        }
+        return token;
     }
 
     static void
@@ -407,9 +450,16 @@ private:
 
     /** Caller must hold m_mutex. */
     void
-    dispatchPrefetches( std::size_t accessedIndex )
+    dispatchPrefetches( std::size_t accessedIndex, Access access )
     {
         const auto parallelism = std::max<std::size_t>( 1, m_configuration.parallelism );
+        if ( access == Access::WHOLE_STREAM ) {
+            /* Every chunk will be read in order: no ramp to wait for. */
+            for ( std::size_t i = 1; i <= parallelism; ++i ) {
+                prefetch( accessedIndex + i );
+            }
+            return;
+        }
         switch ( m_configuration.strategy ) {
         case ChunkFetcherConfiguration::Strategy::FIXED:
             for ( std::size_t i = 1; i <= parallelism; ++i ) {

@@ -44,11 +44,12 @@ struct CompressedFrame
  * decoder, and get the same strategy-driven prefetching, bounded cache,
  * and O(1)-per-chunk random access the paper builds for gzip.
  *
- * Frames are grouped into chunks of up to the configured chunk size (a
- * single larger frame becomes its own chunk) so per-task overhead stays
- * amortized for small-frame formats (a bzip2 -1 block is ~100 KiB
- * compressed). Thread model matches ChunkFetcher: one consumer thread;
- * decoding parallelizes underneath.
+ * Frames are grouped into chunks of up to plannedChunkBytes (about two
+ * per worker, at most the configured chunk size; a single larger frame
+ * becomes its own chunk) so per-task overhead stays amortized for
+ * small-frame formats (a bzip2 -1 block is ~100 KiB compressed). Thread
+ * model matches ChunkFetcher: one consumer thread; decoding parallelizes
+ * underneath.
  */
 class FrameParallelReader
 {
@@ -66,29 +67,14 @@ public:
                          std::vector<CompressedFrame> frames,
                          FrameDecoder frameDecoder,
                          const ChunkFetcherConfiguration& configuration ) :
+        m_file( std::move( file ) ),
         m_frames( std::make_shared<const std::vector<CompressedFrame> >( std::move( frames ) ) ),
-        m_chunkToFrames( groupFramesIntoChunks( *m_frames, configuration.chunkSizeBytes ) ),
+        m_frameDecoder( std::move( frameDecoder ) ),
+        m_chunkToFrames( groupFramesIntoChunks(
+            *m_frames, plannedChunkBytes( m_file->size(), configuration ) ) ),
         m_configuration( configuration )
     {
-        auto decoder = [frames = m_frames, chunks = m_chunkToFrames,
-                        decodeFrame = std::move( frameDecoder )]
-                       ( const FileReader& reader, std::size_t chunkIndex ) -> DecodedChunk {
-            DecodedChunk chunk;
-            const auto [firstFrame, frameEnd] = chunks[chunkIndex];
-            {
-                telemetry::Span decodeSpan{ "pipeline", "frame.decode" };
-                for ( auto i = firstFrame; i < frameEnd; ++i ) {
-                    decodeFrame( reader, ( *frames )[i], i, chunk.data );
-                }
-                RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_frames_decoded_total",
-                                           "Compressed frames decoded by frame-parallel readers.",
-                                           frameEnd - firstFrame );
-            }
-            chunk.reachedStreamEnd = frameEnd == frames->size();
-            return chunk;
-        };
-        m_fetcher = std::make_unique<ChunkFetcher>(
-            std::move( file ), m_chunkToFrames.size(), std::move( decoder ), configuration );
+        buildFetcher();
     }
 
     [[nodiscard]] std::size_t
@@ -115,7 +101,7 @@ public:
         std::vector<std::size_t> sizes( m_chunkToFrames.size() );
         std::size_t total = 0;
         for ( std::size_t i = 0; i < m_chunkToFrames.size(); ++i ) {
-            const auto chunk = m_fetcher->get( i );
+            const auto chunk = m_fetcher->get( i, ChunkFetcher::Access::WHOLE_STREAM );
             sizes[i] = chunk->data.size();
             total += chunk->data.size();
             if ( sink ) {
@@ -215,14 +201,16 @@ public:
 
     /**
      * Adopt chunk offsets from a previously exported index (the sidecar
-     * fast path): @p seekPoints must be exactly what chunkSeekPoints()
-     * returned when the index was built — one (compressed bit offset,
-     * uncompressed offset) per chunk. Every compressed offset is validated
-     * against the freshly scanned frame table (the geometry scan is pure
-     * header arithmetic and always runs; what adoption skips is the
-     * MEASURING decode sweep unsized formats pay in ensureOffsetsKnown).
-     * Returns false — leaving the reader untouched — when the geometry
-     * disagrees: stale sidecar, different chunking configuration.
+     * fast path): one (compressed bit offset, uncompressed offset) per
+     * chunk, as chunkSeekPoints() returned them — whatever parallelism or
+     * configuration grouped the frames then. Every compressed offset must be
+     * the start of a frame in the freshly scanned table (the geometry scan
+     * is pure header arithmetic and always runs; what adoption skips is the
+     * MEASURING decode sweep unsized formats pay in ensureOffsetsKnown), the
+     * first the first frame's. The reader then takes the points as its
+     * chunks, the way gzip's importIndex takes its checkpoints. Returns false
+     * — leaving the reader untouched — when the geometry disagrees (stale
+     * sidecar) or the offsets contradict recorded frame sizes.
      */
     [[nodiscard]] bool
     adoptChunkOffsets( const std::vector<std::pair<std::size_t, std::size_t> >& seekPoints,
@@ -231,42 +219,93 @@ public:
         if ( m_offsetsKnown ) {
             return true;  /* nothing left to save */
         }
-        if ( seekPoints.size() != m_chunkToFrames.size() ) {
+        if ( seekPoints.empty() != m_frames->empty() ) {
             return false;
         }
+        std::vector<std::pair<std::size_t, std::size_t> > chunkToFrames;
+        std::size_t frame = 0;
         for ( std::size_t i = 0; i < seekPoints.size(); ++i ) {
-            const auto firstFrame = m_chunkToFrames[i].first;
-            if ( seekPoints[i].first != ( *m_frames )[firstFrame].compressedBeginBits ) {
+            while ( ( frame < m_frames->size() )
+                    && ( ( *m_frames )[frame].compressedBeginBits < seekPoints[i].first ) ) {
+                ++frame;
+            }
+            if ( ( frame >= m_frames->size() )
+                 || ( ( *m_frames )[frame].compressedBeginBits != seekPoints[i].first )
+                 || ( ( i == 0 ) && ( ( frame != 0 ) || ( seekPoints[i].second != 0 ) ) )
+                 || ( ( i > 0 ) && ( seekPoints[i].second < seekPoints[i - 1].second ) ) ) {
                 return false;
             }
-            if ( ( i > 0 ) && ( seekPoints[i].second < seekPoints[i - 1].second ) ) {
-                return false;
+            if ( i > 0 ) {
+                chunkToFrames.back().second = frame;
             }
+            chunkToFrames.emplace_back( frame, m_frames->size() );
+            ++frame;
         }
         if ( !seekPoints.empty() && ( uncompressedSize < seekPoints.back().second ) ) {
             return false;
         }
+
         std::vector<std::size_t> sizes( seekPoints.size() );
         for ( std::size_t i = 0; i < seekPoints.size(); ++i ) {
             const auto next = i + 1 < seekPoints.size() ? seekPoints[i + 1].second
                                                         : uncompressedSize;
             sizes[i] = next - seekPoints[i].second;
+            /* Recorded frame sizes (zstd) must agree with the sidecar. */
+            std::size_t recorded = 0;
+            bool allRecorded = true;
+            for ( auto f = chunkToFrames[i].first; f < chunkToFrames[i].second; ++f ) {
+                recorded += ( *m_frames )[f].uncompressedSize;
+                allRecorded = allRecorded && ( ( *m_frames )[f].uncompressedSize > 0 );
+            }
+            if ( allRecorded && ( recorded != sizes[i] ) ) {
+                return false;
+            }
         }
+        m_chunkToFrames = std::move( chunkToFrames );
+        buildFetcher();
         recordChunkSizes( sizes );
         return true;
     }
 
 private:
+    /** (Re)build the fetcher over the current frame grouping. */
+    void
+    buildFetcher()
+    {
+        auto decoder = [frames = m_frames, chunks = m_chunkToFrames, decodeFrame = m_frameDecoder]
+                       ( const FileReader& reader, std::size_t chunkIndex ) -> DecodedChunk {
+            DecodedChunk chunk;
+            const auto [firstFrame, frameEnd] = chunks[chunkIndex];
+            {
+                telemetry::Span decodeSpan{ "pipeline", "frame.decode" };
+                for ( auto i = firstFrame; i < frameEnd; ++i ) {
+                    decodeFrame( reader, ( *frames )[i], i, chunk.data );
+                }
+                RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_frames_decoded_total",
+                                           "Compressed frames decoded by frame-parallel readers.",
+                                           frameEnd - firstFrame );
+            }
+            chunk.reachedStreamEnd = frameEnd == frames->size();
+            return chunk;
+        };
+        std::vector<std::size_t> startBits;
+        startBits.reserve( m_chunkToFrames.size() );
+        for ( const auto& [firstFrame, frameEnd] : m_chunkToFrames ) {
+            startBits.push_back( ( *m_frames )[firstFrame].compressedBeginBits );
+        }
+        m_fetcher = std::make_unique<ChunkFetcher>( m_file, startBits, std::move( decoder ),
+                                                    m_configuration );
+    }
+
     /** [first, end) frame range per chunk. Greedy: frames are admitted
-     * while the chunk stays within chunkSizeBytes, so chunks span at MOST
+     * while the chunk stays within @p chunkBytes, so chunks span at MOST
      * that much compressed input — except a single frame larger than the
      * budget, which becomes its own chunk. */
     [[nodiscard]] static std::vector<std::pair<std::size_t, std::size_t> >
-    groupFramesIntoChunks( const std::vector<CompressedFrame>& frames,
-                           std::size_t chunkSizeBytes )
+    groupFramesIntoChunks( const std::vector<CompressedFrame>& frames, std::size_t chunkBytes )
     {
         std::vector<std::pair<std::size_t, std::size_t> > result;
-        const auto chunkBits = std::max<std::size_t>( chunkSizeBytes, 64 * KiB ) * 8;
+        const auto chunkBits = std::max<std::size_t>( chunkBytes, 64 * KiB ) * 8;
         std::size_t begin = 0;
         while ( begin < frames.size() ) {
             auto end = begin;
@@ -322,7 +361,9 @@ private:
         m_offsetsKnown = true;
     }
 
+    std::shared_ptr<const FileReader> m_file;
     std::shared_ptr<const std::vector<CompressedFrame> > m_frames;
+    FrameDecoder m_frameDecoder;
     std::vector<std::pair<std::size_t, std::size_t> > m_chunkToFrames;
     ChunkFetcherConfiguration m_configuration;
     std::unique_ptr<ChunkFetcher> m_fetcher;

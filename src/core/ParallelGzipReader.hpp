@@ -105,7 +105,7 @@ public:
             for ( std::size_t i = 0; i < m_fetcher->chunkCount(); ++i ) {
                 ChunkFetcher::ChunkDataPtr chunk;
                 try {
-                    chunk = m_fetcher->get( i );
+                    chunk = m_fetcher->get( i, ChunkFetcher::Access::WHOLE_STREAM );
                 } catch ( const RapidgzipError& ) {
                     failedChunk = i;
                     break;
@@ -454,15 +454,18 @@ private:
         if ( m_chunkTableKnown ) {
             return;
         }
-        /* BGZF is an index special case: the BC extra fields describe every
-         * block, so the full random-access index is a header scan away — no
-         * marker search, no flush markers, no decoding. */
-        if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file,
-                                                        m_configuration.chunkSizeBytes ) ) {
+        /* Restart points are free here, so chunks are sized to the pool
+         * (plannedChunkBytes); a stream without any falls to the two-stage
+         * sweep, which keeps chunkSizeBytes. BGZF is an index special case:
+         * the BC extra fields describe every block, so the full random-access
+         * index is a header scan away — no marker search, no flush markers,
+         * no decoding. */
+        const auto chunkBytes = plannedChunkBytes( m_file->size(), m_configuration );
+        if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file, chunkBytes ) ) {
             adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ) );
             return;
         }
-        m_chunks = discoverChunks( *m_file, m_configuration.chunkSizeBytes );
+        m_chunks = discoverChunks( *m_file, chunkBytes );
         m_chunkTableKnown = true;
     }
 
@@ -487,9 +490,13 @@ private:
                 return GzipChunkFetcher::decodeChunkFromCheckpoint(
                     reader, startBits, untilBits, { window.data(), window.size() } );
             };
-            m_fetcher = std::make_unique<ChunkFetcher>(
-                std::move( file ), m_index->checkpoints.size(), std::move( decoder ),
-                m_configuration );
+            std::vector<std::size_t> startBits;
+            startBits.reserve( m_index->checkpoints.size() );
+            for ( const auto& checkpoint : m_index->checkpoints ) {
+                startBits.push_back( checkpoint.compressedOffsetBits );
+            }
+            m_fetcher = std::make_unique<ChunkFetcher>( std::move( file ), startBits,
+                                                        std::move( decoder ), m_configuration );
         } else {
             m_fetcher = std::make_unique<ChunkFetcher>( std::move( file ), m_chunks,
                                                         m_configuration );

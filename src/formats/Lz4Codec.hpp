@@ -36,6 +36,11 @@ inline constexpr std::size_t LZ4_MAX_OFFSET = 65535;
  * dependent (linked) blocks. @p maxOutput bounds this block's output.
  * Throws RapidgzipError on any malformed input; never reads or writes out
  * of bounds.
+ *
+ * Output is written through a cursor into @p destination, which grows once
+ * per block to min(maxOutput, 4 MiB) more bytes (the largest LZ4 frame
+ * block, so a framed block never grows it again), then geometrically, and
+ * is trimmed to the decoded size on return.
  */
 inline void
 lz4DecompressBlock( BufferView block,
@@ -70,6 +75,24 @@ lz4DecompressBlock( BufferView block,
         throw RapidgzipError( "Empty LZ4 block" );
     }
 
+    /* Decoded bytes end at `out.end`; on every exit, also by exception, the
+     * destination is trimmed there. */
+    struct TrimOnExit
+    {
+        std::vector<std::uint8_t>& vector;
+        std::size_t end;
+        ~TrimOnExit() { vector.resize( end ); }
+    } out{ destination, base };
+    /* Room for @p length more bytes (the caller checked maxOutput). */
+    const auto makeRoom = [&] ( std::size_t length ) {
+        if ( out.end + length > destination.size() ) {
+            const auto grown = std::max( out.end + length,
+                                         destination.size() + ( destination.size() - base ) );
+            destination.resize( std::min( grown, base + maxOutput ) );
+        }
+    };
+    destination.resize( base + std::min<std::size_t>( maxOutput, 4 * MiB ) );
+
     while ( true ) {
         if ( input >= inputEnd ) {
             /* The last sequence must end the block via its literals; a block
@@ -82,11 +105,15 @@ lz4DecompressBlock( BufferView block,
         if ( literalLength > static_cast<std::size_t>( inputEnd - input ) ) {
             throw RapidgzipError( "Truncated LZ4 block (literals)" );
         }
-        if ( destination.size() - base + literalLength > maxOutput ) {
+        if ( out.end - base + literalLength > maxOutput ) {
             throw RapidgzipError( "LZ4 block exceeds its output bound" );
         }
-        destination.insert( destination.end(), input, input + literalLength );
-        input += literalLength;
+        if ( literalLength > 0 ) {
+            makeRoom( literalLength );
+            std::memcpy( destination.data() + out.end, input, literalLength );
+            out.end += literalLength;
+            input += literalLength;
+        }
 
         if ( input == inputEnd ) {
             /* Last sequence: literals only, no offset. A block that ends
@@ -103,22 +130,27 @@ lz4DecompressBlock( BufferView block,
         if ( offset == 0 ) {
             throw RapidgzipError( "Invalid zero offset in LZ4 block" );
         }
-        if ( offset > destination.size() - base + history ) {
+        if ( offset > out.end - base + history ) {
             throw RapidgzipError( "LZ4 match reaches before the available history" );
         }
 
         const auto matchLength = readExtension( token & 0xFU ) + LZ4_MIN_MATCH;
-        if ( destination.size() - base + matchLength > maxOutput ) {
+        if ( out.end - base + matchLength > maxOutput ) {
             throw RapidgzipError( "LZ4 block exceeds its output bound" );
         }
-        /* Overlapping matches (offset < length) are the RLE idiom — copy
-         * byte-wise. The vector grows first so the source stays valid. */
-        auto source = destination.size() - offset;
-        destination.resize( destination.size() + matchLength );
-        auto target = destination.size() - matchLength;
-        for ( std::size_t i = 0; i < matchLength; ++i ) {
-            destination[target + i] = destination[source + i];
+        makeRoom( matchLength );
+        auto* const target = destination.data() + out.end;
+        const auto* const source = target - offset;
+        if ( offset >= matchLength ) {
+            std::memcpy( target, source, matchLength );
+        } else {
+            /* Overlapping match (offset < length), the RLE idiom: each byte
+             * may copy one written earlier in this same match. */
+            for ( std::size_t i = 0; i < matchLength; ++i ) {
+                target[i] = source[i];
+            }
         }
+        out.end += matchLength;
     }
 }
 

@@ -21,7 +21,8 @@ namespace rapidgzip::index {
  * byte-aligned member starts with empty windows; member starts are grouped
  * so each chunk spans at least @p chunkSizeBytes of compressed data (one
  * checkpoint per tiny block would make chunks too small to amortize
- * dispatch).
+ * dispatch). ParallelGzipReader passes plannedChunkBytes, which sizes the
+ * chunks to its pool.
  *
  * Returns std::nullopt when the file is not BGZF: the scan requires every
  * member to carry a well-formed BC field and the member chain to end

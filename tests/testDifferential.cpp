@@ -296,6 +296,60 @@ testLz4Differential( const Corpus& corpus )
     }
 }
 
+#if defined( RAPIDGZIP_HAVE_VENDOR_LZ4 )
+/** Hand-built blocks with one overlapping (RLE) match each — offsets 1..17,
+ * lengths on both sides of 16 — plus a non-overlapping one for contrast,
+ * decoded by ours and by liblz4. */
+void
+testLz4OverlappingMatches()
+{
+    const auto appendLength = [] ( std::vector<std::uint8_t>& block, std::size_t value ) {
+        for ( ; value >= 255; value -= 255 ) {
+            block.push_back( 255 );
+        }
+        block.push_back( static_cast<std::uint8_t>( value ) );
+    };
+    for ( std::size_t offset = 1; offset <= 17; ++offset ) {
+        for ( const std::size_t matchLength : { 4, 5, 15, 16, 17, 18, 19, 31, 32, 33, 300 } ) {
+            /* Literals (at least `offset` of them, so the match has its
+             * source), the match, then 12 final literals as the format's
+             * end conditions demand. */
+            const auto literalLength = offset + 2;
+            std::vector<std::uint8_t> block;
+            block.push_back( static_cast<std::uint8_t>(
+                ( std::min<std::size_t>( literalLength, 15 ) << 4U )
+                | std::min<std::size_t>( matchLength - formats::LZ4_MIN_MATCH, 15 ) ) );
+            if ( literalLength >= 15 ) {
+                appendLength( block, literalLength - 15 );
+            }
+            for ( std::size_t i = 0; i < literalLength; ++i ) {
+                block.push_back( static_cast<std::uint8_t>( 'a' + i ) );
+            }
+            block.push_back( static_cast<std::uint8_t>( offset ) );
+            block.push_back( 0 );
+            if ( matchLength - formats::LZ4_MIN_MATCH >= 15 ) {
+                appendLength( block, matchLength - formats::LZ4_MIN_MATCH - 15 );
+            }
+            block.push_back( 12U << 4U );
+            for ( std::size_t i = 0; i < 12; ++i ) {
+                block.push_back( static_cast<std::uint8_t>( 'A' + i ) );
+            }
+
+            const auto expectedSize = literalLength + matchLength + 12;
+            std::vector<std::uint8_t> vendor( expectedSize );
+            REQUIRE( formats::vendorLz4DecompressBlock( { block.data(), block.size() },
+                                                        vendor.data(), vendor.size() )
+                     == expectedSize );
+            std::vector<std::uint8_t> ours{ 0xEE };  /* a prefix the block must not touch */
+            formats::lz4DecompressBlock( { block.data(), block.size() }, ours, 0, expectedSize );
+            REQUIRE( ours.size() == 1 + expectedSize );
+            REQUIRE( ours[0] == 0xEE );
+            REQUIRE( std::equal( vendor.begin(), vendor.end(), ours.begin() + 1 ) );
+        }
+    }
+}
+#endif
+
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
 void
 testZstdDifferential( const Corpus& corpus )
@@ -584,6 +638,9 @@ main()
         testBzip2Differential( corpus );
 #endif
     }
+#if defined( RAPIDGZIP_HAVE_VENDOR_LZ4 )
+    testLz4OverlappingMatches();
+#endif
     testCorruptionMatrix();
     return rapidgzip::test::finish( "testDifferential" );
 }

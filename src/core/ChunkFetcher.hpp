@@ -84,21 +84,30 @@ struct ChunkFetcherConfiguration
     unsigned decodeRetryCount{ 2 };
 };
 
+/** plannedChunkBytes floor where restart points are free (full-flush gzip,
+ * BGZF, zstd/lz4/bzip2 frames): only per-chunk overhead limits them. */
+constexpr std::size_t RESTART_POINT_CHUNK_FLOOR = 64 * KiB;
+/** plannedChunkBytes floor for the two-stage sweep over plain gzip: every
+ * chunk but the first pays a block-finder search (about 10 MB/s, so
+ * milliseconds per chunk), which smaller chunks no longer amortize. */
+constexpr std::size_t SWEEP_CHUNK_FLOOR = 1 * MiB;
+
 /**
- * Compressed bytes per chunk for archives whose restart points cost nothing
- * to find (full-flush gzip, BGZF, zstd/lz4/bzip2 frames): about 2P chunks
- * per file — two per worker, so one slow chunk does not leave the pool idle
- * — and never more than the configured chunkSizeBytes, nor less than 64 KiB
- * (per-chunk overhead). Files larger than 2P x chunkSizeBytes keep
- * chunkSizeBytes. The two-stage sweep over plain gzip does not use this:
- * its chunks also pay block finding.
+ * Compressed bytes per chunk: about 2P chunks per file — two per worker, so
+ * one slow chunk does not leave the pool idle — and never more than the
+ * configured chunkSizeBytes, nor less than @p floorBytes
+ * (RESTART_POINT_CHUNK_FLOOR or SWEEP_CHUNK_FLOOR). Files larger than
+ * 2P x chunkSizeBytes keep chunkSizeBytes, and a chunkSizeBytes at or below
+ * the floor is kept exactly.
  */
 [[nodiscard]] inline std::size_t
-plannedChunkBytes( std::size_t compressedBytes, const ChunkFetcherConfiguration& configuration )
+plannedChunkBytes( std::size_t compressedBytes,
+                   const ChunkFetcherConfiguration& configuration,
+                   std::size_t floorBytes )
 {
     const auto chunks = 2 * std::max<std::size_t>( 1, configuration.parallelism );
     const auto perChunk = compressedBytes / chunks + ( compressedBytes % chunks != 0 ? 1 : 0 );
-    return std::min( configuration.chunkSizeBytes, std::max<std::size_t>( perChunk, 64 * KiB ) );
+    return std::min( configuration.chunkSizeBytes, std::max( perChunk, floorBytes ) );
 }
 
 struct FetcherStatistics

@@ -71,7 +71,8 @@ public:
         m_frames( std::make_shared<const std::vector<CompressedFrame> >( std::move( frames ) ) ),
         m_frameDecoder( std::move( frameDecoder ) ),
         m_chunkToFrames( groupFramesIntoChunks(
-            *m_frames, plannedChunkBytes( m_file->size(), configuration ) ) ),
+            *m_frames, plannedChunkBytes( m_file->size(), configuration,
+                                          RESTART_POINT_CHUNK_FLOOR ) ) ),
         m_configuration( configuration )
     {
         buildFetcher();

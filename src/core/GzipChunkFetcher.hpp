@@ -519,9 +519,9 @@ public:
          * that unwinding could destroy while workers still run. */
         ThreadPool pool( std::max<std::size_t>( 1, parallelism ) );
         /* Work the consumer would otherwise do serially runs on the worker
-         * that decoded the chunk: the sparse-window scan over all its
-         * markers, and — for the chunks that will likely be kept, by grid
-         * position — allocating (zeroing, faulting in) the kept buffer. */
+         * that decoded the chunk: the sparse-window scan, and — for the
+         * chunks that will likely be kept, by grid position — allocating
+         * (zeroing, faulting in) the kept buffer. */
         const auto keepHint = keptChunks != nullptr
                               ? keepLimit - std::min( keepLimit, keptChunks->size() ) : 0;
         const auto dispatch = [&pool, &file, startBit, chunkBits, chunkOutputCap, keepHint,

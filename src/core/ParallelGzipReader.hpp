@@ -409,13 +409,16 @@ private:
      * disable it here. Throws on any failure; the caller falls back. Once
      * every member verified, the harvested index is adopted so seek()/read()
      * resume from checkpoints, and the sweep's kept chunks are installed in
-     * the new fetcher, so they are not decoded a second time.
+     * the new fetcher, so they are not decoded a second time. The sweep's
+     * grid is sized to the pool (at most 2P chunks, which the cache holds),
+     * floored where block finding would stop paying off.
      */
     [[nodiscard]] std::size_t
     decompressAllTwoStage()
     {
         auto sweep = GzipChunkFetcher::sweepVerified(
-            *m_file, m_configuration.parallelism, m_configuration.chunkSizeBytes,
+            *m_file, m_configuration.parallelism,
+            plannedChunkBytes( m_file->size(), m_configuration, SWEEP_CHUNK_FLOOR ),
             m_configuration.checkpointSpacingBytes, ChunkFetcher::cacheCapacity( m_configuration ) );
         const auto total = sweep.index.uncompressedSizeBytes;
         adoptIndex( std::make_shared<const GzipIndex>( std::move( sweep.index ) ) );
@@ -456,11 +459,12 @@ private:
         }
         /* Restart points are free here, so chunks are sized to the pool
          * (plannedChunkBytes); a stream without any falls to the two-stage
-         * sweep, which keeps chunkSizeBytes. BGZF is an index special case:
-         * the BC extra fields describe every block, so the full random-access
-         * index is a header scan away — no marker search, no flush markers,
-         * no decoding. */
-        const auto chunkBytes = plannedChunkBytes( m_file->size(), m_configuration );
+         * sweep, which plans with a higher floor. BGZF is an index special
+         * case: the BC extra fields describe every block, so the full
+         * random-access index is a header scan away — no marker search, no
+         * flush markers, no decoding. */
+        const auto chunkBytes = plannedChunkBytes( m_file->size(), m_configuration,
+                                                   RESTART_POINT_CHUNK_FLOOR );
         if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file, chunkBytes ) ) {
             adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ) );
             return;

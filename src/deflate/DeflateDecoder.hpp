@@ -445,12 +445,13 @@ private:
     };
 
     /**
-     * Append sink over the 16-bit marker buffer. The bulk fast path applies
-     * when the copy source provably contains no marker (the last marker lies
-     * before the source range): the copied symbols are then plain bytes, the
-     * marker clock needs no update, and non-overlapping runs become one
-     * memcpy. Matches that reach into the unknown window or over markers
-     * keep the exact per-symbol semantics of the reference path.
+     * Append sink over the 16-bit marker buffer. Matches inside the buffer
+     * are bulk-copied whether or not their source holds markers (the
+     * chunked wildcopy for distance >= 8): copied markers propagate
+     * verbatim, and when the source may hold one (the last marker lies
+     * inside the source range) a backward scan of the copied symbols moves
+     * the marker clock. Matches that reach into the unknown window create
+     * markers and keep the exact per-symbol semantics of the reference path.
      */
     class MarkedFastSink
     {
@@ -505,27 +506,36 @@ private:
             const auto start = m_cursor;
             if ( distance <= start ) {
                 const auto sourceBegin = start - distance;
-                if ( ( m_lastMarker == NO_MARKER ) || ( m_lastMarker < sourceBegin ) ) {
-                    if ( distance >= WILDCOPY_CHUNK ) {
-                        /* Same chunked wildcopy as the plain sink, in
-                         * 8-symbol blocks; overlap-safe for distance >=
-                         * chunk, overshoot covered by the emit slack. */
-                        auto* const destination = out + m_cursor;
-                        const auto* const source = out + sourceBegin;
-                        std::size_t copied = 0;
-                        do {
-                            std::memcpy( destination + copied, source + copied,
-                                         WILDCOPY_CHUNK * sizeof( std::uint16_t ) );
-                            copied += WILDCOPY_CHUNK;
-                        } while ( copied < length );
-                        m_cursor += length;
-                    } else {
-                        for ( std::size_t i = 0; i < length; ++i, ++m_cursor ) {
-                            out[m_cursor] = out[m_cursor - distance];
+                if ( distance >= WILDCOPY_CHUNK ) {
+                    /* Same chunked wildcopy as the plain sink, in 8-symbol
+                     * blocks; overlap-safe for distance >= chunk, overshoot
+                     * covered by the emit slack. */
+                    auto* const destination = out + m_cursor;
+                    const auto* const source = out + sourceBegin;
+                    std::size_t copied = 0;
+                    do {
+                        std::memcpy( destination + copied, source + copied,
+                                     WILDCOPY_CHUNK * sizeof( std::uint16_t ) );
+                        copied += WILDCOPY_CHUNK;
+                    } while ( copied < length );
+                    m_cursor += length;
+                } else {
+                    for ( std::size_t i = 0; i < length; ++i, ++m_cursor ) {
+                        out[m_cursor] = out[m_cursor - distance];
+                    }
+                }
+                /* Copied markers propagate verbatim; the marker clock only
+                 * has to end on the last one written, found scanning
+                 * backwards — and only when the source may hold one. */
+                if ( ( m_lastMarker != NO_MARKER ) && ( m_lastMarker >= sourceBegin ) ) {
+                    for ( auto position = m_cursor; position > start; ) {
+                        if ( out[--position] >= MARKER_BASE ) {
+                            m_lastMarker = position;
+                            break;
                         }
                     }
-                    return Error::NONE;
                 }
+                return Error::NONE;
             }
             /* distance <= 32768 and position >= 0 bound the marker offset. */
             for ( std::size_t i = 0; i < length; ++i ) {

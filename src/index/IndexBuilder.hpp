@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -112,8 +113,10 @@ public:
      * Which full-window offsets (0 = oldest byte) the markers of the
      * stage-one output @p data reference, or empty when @p data cannot
      * bound its window: no markers, or less than a window of output.
-     * Scans every marked symbol, so the sweep runs it on the worker that
-     * decoded the chunk.
+     * Scans only the first WINDOW_SIZE symbols, and that is exact: a marker
+     * is created only where a match reaches behind the chunk start, which
+     * an output position at or past WINDOW_SIZE cannot do, so every later
+     * marker is a copy of an earlier one.
      */
     [[nodiscard]] static std::vector<bool>
     sparseWindowOffsets( const deflate::DecodedData& data )
@@ -128,7 +131,9 @@ public:
         static_assert( deflate::MARKER_BASE == 0x8000U, "the sign bit marks a marker" );
         static_assert( deflate::WINDOW_SIZE == 0x8000U, "the low 15 bits are the window offset" );
         std::array<std::uint8_t, deflate::WINDOW_SIZE> hit{};
-        for ( const auto symbol : data.marked ) {
+        const auto scanned = std::min( data.marked.size(), deflate::WINDOW_SIZE );
+        for ( std::size_t i = 0; i < scanned; ++i ) {
+            const auto symbol = data.marked[i];
             hit[symbol & ( deflate::WINDOW_SIZE - 1U )] |= static_cast<std::uint8_t>( symbol >> 15U );
         }
         std::vector<bool> referenced( deflate::WINDOW_SIZE, false );

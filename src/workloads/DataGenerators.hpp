@@ -249,4 +249,45 @@ silesiaLikeData( std::size_t size, std::uint64_t seed )
     return result;
 }
 
+/**
+ * Server-log lines from a handful of templates, with a counter, a
+ * millisecond clock and a few small fields as the only fresh bytes. Each
+ * template is copied from its last use, so a windowless decode from mid
+ * stream keeps copying the pre-chunk history forward: most of its output
+ * stays markers and it never falls back to 8-bit decoding.
+ */
+[[nodiscard]] inline std::vector<std::uint8_t>
+logLinesData( std::size_t size, std::uint64_t seed )
+{
+    static constexpr const char* TEMPLATES[] = {
+        "INFO  worker-%02u GET /api/v1/objects/%llu HTTP/1.1 200 %u bytes in %ums \"curl/8.4.0\"\n",
+        "DEBUG worker-%02u cache lookup for key session:%llu returned %u entries after %ums\n",
+        "INFO  worker-%02u POST /api/v2/upload?request=%llu HTTP/1.1 201 %u bytes in %ums \"python-requests/2.31.0\"\n",
+        "WARN  worker-%02u slow query on shard %llu: %u rows scanned in %ums\n",
+    };
+    std::vector<std::uint8_t> result;
+    result.reserve( size + 256 );
+    Xorshift64 random( seed );
+    std::uint64_t milliseconds = 0;
+    for ( std::uint64_t counter = 0; result.size() < size; ++counter ) {
+        milliseconds += random.below( 40 );
+        char line[256];
+        int length = std::snprintf( line, sizeof( line ), "2023-10-17 %02u:%02u:%02u.%03u #%llu ",
+                                    static_cast<unsigned>( milliseconds / 3600000 % 24 ),
+                                    static_cast<unsigned>( milliseconds / 60000 % 60 ),
+                                    static_cast<unsigned>( milliseconds / 1000 % 60 ),
+                                    static_cast<unsigned>( milliseconds % 1000 ),
+                                    static_cast<unsigned long long>( counter ) );
+        length += std::snprintf( line + length, sizeof( line ) - static_cast<std::size_t>( length ),
+                                 TEMPLATES[random.below( 4 )],
+                                 static_cast<unsigned>( random.below( 16 ) ),
+                                 static_cast<unsigned long long>( counter * 7 % 100000 ),
+                                 static_cast<unsigned>( random.below( 4096 ) ),
+                                 static_cast<unsigned>( random.below( 100 ) ) );
+        result.insert( result.end(), line, line + length );
+    }
+    result.resize( size );
+    return result;
+}
+
 }  // namespace rapidgzip::workloads

@@ -1,11 +1,12 @@
 /**
- * core layer: chunk geometry for archives whose restart points are free
- * (full-flush gzip, BGZF, frame formats) is planned from the file and the
- * pool — about two chunks per worker, capped by chunkSizeBytes, floored at
- * 64 KiB — and whole-stream passes prefetch at full depth from their first
- * access. Also covers what depends on that geometry: the shared-cache key
- * (readers with different parallelism never serve each other's chunks) and
- * frame sidecars written at one parallelism and adopted at another.
+ * core layer: chunk geometry is planned from the file and the pool — about
+ * two chunks per worker, capped by chunkSizeBytes, floored at 64 KiB for
+ * archives whose restart points are free (full-flush gzip, BGZF, frame
+ * formats) and at 1 MiB for the two-stage sweep over plain gzip — and
+ * whole-stream passes prefetch at full depth from their first access. Also
+ * covers what depends on that geometry: the shared-cache key (readers with
+ * different parallelism never serve each other's chunks) and frame
+ * sidecars written at one parallelism and adopted at another.
  */
 
 #include <sys/stat.h>
@@ -55,21 +56,35 @@ config( std::size_t parallelism, std::size_t chunkSize = 4 * MiB )
 void
 testPlannedChunkBytes()
 {
+    constexpr auto FREE = RESTART_POINT_CHUNK_FLOOR;
     /* About 2P chunks: ceil(S / 2P). */
-    REQUIRE( plannedChunkBytes( 8 * MiB, config( 4 ) ) == 1 * MiB );
-    REQUIRE( plannedChunkBytes( 8 * MiB + 1, config( 4 ) ) == 1 * MiB + 1 );
+    REQUIRE( plannedChunkBytes( 8 * MiB, config( 4 ), FREE ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 8 * MiB + 1, config( 4 ), FREE ) == 1 * MiB + 1 );
     /* Capped by chunkSizeBytes: large files keep today's chunks. */
-    REQUIRE( plannedChunkBytes( 1024 * MiB, config( 4 ) ) == 4 * MiB );
-    REQUIRE( plannedChunkBytes( 32 * MiB, config( 4 ) ) == 4 * MiB );
-    REQUIRE( plannedChunkBytes( 32 * MiB, config( 4, 1 * MiB ) ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 1024 * MiB, config( 4 ), FREE ) == 4 * MiB );
+    REQUIRE( plannedChunkBytes( 32 * MiB, config( 4 ), FREE ) == 4 * MiB );
+    REQUIRE( plannedChunkBytes( 32 * MiB, config( 4, 1 * MiB ), FREE ) == 1 * MiB );
     /* Floored at 64 KiB, unless the configuration asks for less. */
-    REQUIRE( plannedChunkBytes( 100 * KiB, config( 4 ) ) == 64 * KiB );
-    REQUIRE( plannedChunkBytes( 0, config( 4 ) ) == 64 * KiB );
-    REQUIRE( plannedChunkBytes( 100 * KiB, config( 4, 16 * KiB ) ) == 16 * KiB );
+    REQUIRE( plannedChunkBytes( 100 * KiB, config( 4 ), FREE ) == 64 * KiB );
+    REQUIRE( plannedChunkBytes( 0, config( 4 ), FREE ) == 64 * KiB );
+    REQUIRE( plannedChunkBytes( 100 * KiB, config( 4, 16 * KiB ), FREE ) == 16 * KiB );
     /* One worker: two chunks; parallelism 0 counts as one. */
-    REQUIRE( plannedChunkBytes( 6 * MiB, config( 1 ) ) == 3 * MiB );
-    REQUIRE( plannedChunkBytes( 10 * MiB, config( 1 ) ) == 4 * MiB );
-    REQUIRE( plannedChunkBytes( 6 * MiB, config( 0 ) ) == 3 * MiB );
+    REQUIRE( plannedChunkBytes( 6 * MiB, config( 1 ), FREE ) == 3 * MiB );
+    REQUIRE( plannedChunkBytes( 10 * MiB, config( 1 ), FREE ) == 4 * MiB );
+    REQUIRE( plannedChunkBytes( 6 * MiB, config( 0 ), FREE ) == 3 * MiB );
+
+    /* The sweep's floor is 1 MiB: small and mid-size files plan fewer,
+     * larger chunks; the cap and a configured size at or below the floor
+     * are kept exactly. */
+    constexpr auto SWEEP = SWEEP_CHUNK_FLOOR;
+    REQUIRE( plannedChunkBytes( 8 * MiB, config( 4 ), SWEEP ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 19 * MiB, config( 4 ), SWEEP ) == 19 * MiB / 8 );
+    REQUIRE( plannedChunkBytes( 2 * MiB, config( 4 ), SWEEP ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 100 * KiB, config( 4 ), SWEEP ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 1024 * MiB, config( 4 ), SWEEP ) == 4 * MiB );
+    REQUIRE( plannedChunkBytes( 19 * MiB, config( 4, 1 * MiB ), SWEEP ) == 1 * MiB );
+    REQUIRE( plannedChunkBytes( 19 * MiB, config( 4, 256 * KiB ), SWEEP ) == 256 * KiB );
+    REQUIRE( plannedChunkBytes( 19 * MiB, config( 1 ), SWEEP ) == 4 * MiB );
 }
 
 /** Frames are stored bytes ("decoding" copies them), so the grouping is
@@ -100,7 +115,7 @@ testFrameGrouping()
     /* P = 4: budget ceil(1224 KiB / 8) = 153 KiB -> nine 16 KiB frames per
      * chunk; the 600 KiB frame is a chunk of its own. */
     const auto fileSize = offset;
-    REQUIRE( plannedChunkBytes( fileSize, config( 4 ) ) == 153 * KiB );
+    REQUIRE( plannedChunkBytes( fileSize, config( 4 ), RESTART_POINT_CHUNK_FLOOR ) == 153 * KiB );
     FrameParallelReader reader( std::make_shared<MemoryFileReader>( bytes ), frames, copyFrame,
                                 config( 4 ) );
     std::vector<std::uint8_t> output;
@@ -121,15 +136,15 @@ testFrameGrouping()
     REQUIRE( starts == expected );
 }
 
-/** `chunk.decode` spans recorded so far (the trace rings keep them). */
+/** Spans named @p name recorded so far (the trace rings keep them). */
 [[nodiscard]] std::size_t
-tracedDecodeSpans()
+tracedSpans( const char* name )
 {
     std::ostringstream json;
     telemetry::TraceCollector::instance().drainJson( json );
     const auto text = json.str();
     telemetry::JsonParser parser( text );
-    return telemetry::countTraceEvents( parser.parse(), "chunk.decode" );
+    return telemetry::countTraceEvents( parser.parse(), name );
 }
 
 /** At P = 4 a 16 MiB full-flush file and a 16 MiB BGZF file split into
@@ -145,7 +160,7 @@ testPlannedArchivesDecodeOnce()
     telemetry::setTraceEnabled( true );
     for ( const auto& compressed : { compressPigzLike( { data.data(), data.size() }, 6, 512 * KiB ),
                                      writeBgzf( { data.data(), data.size() } ) } ) {
-        const auto spansBefore = tracedDecodeSpans();
+        const auto spansBefore = tracedSpans( "chunk.decode" );
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ), configuration );
         const auto chunks = reader.chunkCount();
         REQUIRE( chunks >= configuration.parallelism );
@@ -156,10 +171,81 @@ testPlannedArchivesDecodeOnce()
             output.insert( output.end(), view.begin(), view.end() );
         } ) == data.size() );
         REQUIRE( output == data );
-        REQUIRE( tracedDecodeSpans() - spansBefore == chunks );
+        REQUIRE( tracedSpans( "chunk.decode" ) - spansBefore == chunks );
         REQUIRE( reader.fetcherStatistics().onDemandDecodes == 1 );
     }
     telemetry::setTraceEnabled( false );
+}
+
+/**
+ * Plain gzip has no free restart points: its two-stage sweep plans
+ * min(chunkSizeBytes, max(ceil(S / 2P), 1 MiB)) per chunk. At the default
+ * configuration a file of a few MiB splits into P..2P chunks, all kept and
+ * installed, so decompressAll(sink) decodes each once (plus the finder
+ * candidates it rejects) and none on demand. A file under the floor is one
+ * chunk, decoded on the consumer; a configured chunk size at or below the
+ * floor keeps its exact geometry.
+ */
+void
+testSweepGrid()
+{
+    telemetry::setTraceEnabled( true );
+    telemetry::setMetricsEnabled( true );
+    const auto rejectedCandidates = [] {
+        return telemetry::Registry::instance().counterTotal( "rapidgzip_chunk_candidates_rejected_total" );
+    };
+    const auto decompressAll = [] ( ParallelGzipReader& reader, const std::vector<std::uint8_t>& data ) {
+        std::vector<std::uint8_t> output;
+        REQUIRE( reader.decompressAll( [&output] ( BufferView view ) {
+            output.insert( output.end(), view.begin(), view.end() );
+        } ) == data.size() );
+        REQUIRE( output == data );
+    };
+
+    {
+        const auto data = workloads::base64Data( 8 * MiB, 0x5EE9 );
+        const auto compressed = compressGzipLike( { data.data(), data.size() }, 6 );
+        REQUIRE( compressed.size() > 4 * MiB );
+        const auto configuration = config( 4 );
+        const auto spansBefore = tracedSpans( "chunk.decode" );
+        const auto rejectedBefore = rejectedCandidates();
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ), configuration );
+        decompressAll( reader, data );
+
+        const auto chunks = reader.chunkCount();
+        REQUIRE( chunks >= configuration.parallelism );
+        REQUIRE( chunks <= 2 * configuration.parallelism );
+        REQUIRE( tracedSpans( "chunk.decode" ) - spansBefore
+                 == chunks + ( rejectedCandidates() - rejectedBefore ) );
+        REQUIRE( reader.fetcherStatistics().onDemandDecodes == 0 );
+    }
+
+    {
+        const auto data = workloads::base64Data( 1 * MiB, 0x5EEA );
+        const auto compressed = compressGzipLike( { data.data(), data.size() }, 6 );
+        REQUIRE( compressed.size() < SWEEP_CHUNK_FLOOR );
+        const auto decodesBefore = tracedSpans( "chunk.decode" );
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ), config( 4 ) );
+        decompressAll( reader, data );
+        /* One decode in all: the sweep's chunk 0, which the consumer
+         * decodes from the stream start; nothing speculative ran. */
+        REQUIRE( reader.chunkCount() == 1 );
+        REQUIRE( tracedSpans( "chunk.decode" ) - decodesBefore == 1 );
+    }
+
+    {
+        const auto data = workloads::silesiaLikeData( 6 * MiB, 0x5EEB );
+        const auto compressed = compressGzipLike( { data.data(), data.size() }, 6 );
+        const MemoryFileReader file( compressed );
+        const auto expected = GzipChunkFetcher::sweepVerified( file, 4, 256 * KiB, 0, 0 ).index.checkpoints;
+        REQUIRE( expected.size() > 2 * 4 );
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ), config( 4, 256 * KiB ) );
+        decompressAll( reader, data );
+        REQUIRE( reader.exportIndex().checkpoints == expected );
+    }
+
+    telemetry::setTraceEnabled( false );
+    telemetry::setMetricsEnabled( false );
 }
 
 [[nodiscard]] ChunkFetcher
@@ -332,5 +418,6 @@ main()
     testSharedCacheKeyFollowsGeometry();
     testFrameSidecarAdoptsAcrossParallelism();
     testPlannedArchivesDecodeOnce();
+    testSweepGrid();
     return rapidgzip::test::finish( "testChunkPlanning" );
 }

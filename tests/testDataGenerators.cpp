@@ -39,7 +39,8 @@ main()
 
     /* Exact sizing and determinism across calls. */
     for ( const auto& generate : { workloads::randomData, workloads::base64Data,
-                                   workloads::fastqData, workloads::silesiaLikeData } ) {
+                                   workloads::fastqData, workloads::silesiaLikeData,
+                                   workloads::logLinesData } ) {
         const auto a = generate( SIZE, 0xABCDEF );
         const auto b = generate( SIZE, 0xABCDEF );
         const auto c = generate( SIZE, 0x123456 );

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "blockfinder/DynamicBlockFinderNaive.hpp"
 #include "deflate/DecodedData.hpp"
 #include "deflate/DeflateDecoder.hpp"
+#include "gzip/DeflateBlockWriter.hpp"
 #include "gzip/GzipHeader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "workloads/DataGenerators.hpp"
@@ -96,6 +98,113 @@ checkMidStreamStart( const std::vector<std::uint8_t>& data )
     deflate::resolveInto( decoded, window, resolved );
     REQUIRE( std::equal( resolved.begin(), resolved.end(), data.begin() + tailStart ) );
     return decoded;
+}
+
+/** Fixed-Huffman (BTYPE 01) block writer for hand-built streams. */
+class FixedBlockWriter
+{
+public:
+    explicit FixedBlockWriter( std::vector<std::uint8_t>& output ) :
+        m_writer( output )
+    {}
+
+    void
+    beginBlock( bool isFinal )
+    {
+        m_writer.writeBits( isFinal ? 1U : 0U, 1 );
+        m_writer.writeBits( 1, 2 );
+    }
+
+    void
+    literal( std::uint8_t byte )
+    {
+        writeSymbol( byte );
+    }
+
+    void
+    match( std::size_t length, std::size_t distance )
+    {
+        auto lengthIndex = deflate::LENGTH_BASE.size() - 1;
+        while ( deflate::LENGTH_BASE[lengthIndex] > length ) {
+            --lengthIndex;
+        }
+        writeSymbol( static_cast<unsigned>( 257 + lengthIndex ) );
+        m_writer.writeBits( static_cast<std::uint32_t>( length - deflate::LENGTH_BASE[lengthIndex] ),
+                            deflate::LENGTH_EXTRA_BITS[lengthIndex] );
+        auto distanceIndex = deflate::DISTANCE_BASE.size() - 1;
+        while ( deflate::DISTANCE_BASE[distanceIndex] > distance ) {
+            --distanceIndex;
+        }
+        m_writer.writeCode( static_cast<std::uint32_t>( distanceIndex ), 5 );
+        m_writer.writeBits( static_cast<std::uint32_t>( distance - deflate::DISTANCE_BASE[distanceIndex] ),
+                            deflate::DISTANCE_EXTRA_BITS[distanceIndex] );
+    }
+
+    void
+    endBlock()
+    {
+        writeSymbol( deflate::END_OF_BLOCK );
+    }
+
+    void
+    finish()
+    {
+        m_writer.alignToByte();
+    }
+
+private:
+    /** RFC 1951 §3.2.6 fixed literal/length codes. */
+    void
+    writeSymbol( unsigned symbol )
+    {
+        if ( symbol < 144 ) {
+            m_writer.writeCode( 0x30U + symbol, 8 );
+        } else if ( symbol < 256 ) {
+            m_writer.writeCode( 0x190U + ( symbol - 144U ), 9 );
+        } else if ( symbol < 280 ) {
+            m_writer.writeCode( symbol - 256U, 7 );
+        } else {
+            m_writer.writeCode( 0xC0U + ( symbol - 280U ), 8 );
+        }
+    }
+
+    deflatewriter::LsbBitWriter m_writer;
+};
+
+/**
+ * A windowless stream whose first block ends where the §3.3 fallback
+ * depends on the LAST marker a match copied: 258 markers are created at
+ * positions 0..257 and copied by one match with @p copyDistance to
+ * 258..515, then plain 'a's fill the block to 258 + 32768 + 100 symbols.
+ * The trailing window then still holds markers (from 358 on), so a
+ * decoder must not fall back; one whose marker clock stopped at the
+ * first copied marker (258) or before the copy (257) would. The final
+ * block copies some of those markers again.
+ */
+[[nodiscard]] std::vector<std::uint8_t>
+markerClockStream( std::size_t copyDistance )
+{
+    constexpr std::size_t BLOCK_END = 258 + deflate::WINDOW_SIZE + 100;
+    std::vector<std::uint8_t> stream;
+    FixedBlockWriter writer( stream );
+    writer.beginBlock( false );
+    writer.match( 258, deflate::WINDOW_SIZE );
+    writer.match( 258, copyDistance );
+    writer.literal( 'a' );
+    for ( auto position = 2 * std::size_t( 258 ) + 1; position < BLOCK_END; ) {
+        const auto length = std::min<std::size_t>( 258, BLOCK_END - position );
+        writer.match( length, 1 );
+        position += length;
+    }
+    writer.endBlock();
+    writer.beginBlock( true );
+    writer.match( 10, BLOCK_END - 400 );
+    for ( int i = 0; i < 64; ++i ) {
+        writer.literal( static_cast<std::uint8_t>( 'b' + i % 16 ) );
+    }
+    writer.endBlock();
+    writer.finish();
+    return stream;
 }
 
 }  // namespace
@@ -218,11 +327,15 @@ main()
 
     /* Fast loop vs reference loop (PR 4): bit-exact output equivalence on
      * every workload, in both marker and plain mode, including the marker
-     * symbols themselves — the multi-symbol LUT, the unsafe BitReader path,
-     * the bulk LZ77 copies, and the cached distance table must be invisible. */
+     * symbols themselves and the block after which the decoder switches to
+     * 8-bit output — the multi-symbol LUT, the unsafe BitReader path, the
+     * bulk LZ77 copies (also over markers), and the cached distance table
+     * must be invisible. Decodes block by block to see the switch. */
     {
-        const auto decodeBoth = [] ( BufferView stream, std::size_t fromBit, bool windowKnown ) {
+        constexpr auto NEVER = std::numeric_limits<std::size_t>::max();
+        const auto decodeBoth = [NEVER] ( BufferView stream, std::size_t fromBit, bool windowKnown ) {
             std::vector<deflate::DecodedData> results;
+            std::vector<std::size_t> switchBlocks;
             for ( const bool reference : { false, true } ) {
                 BitReader reader( stream.data(), stream.size() );
                 reader.seek( fromBit );
@@ -232,10 +345,22 @@ main()
                     decoder.setInitialWindow( {} );
                 }
                 deflate::DecodedData decoded;
-                const auto result = decoder.decode( reader, decoded );
-                REQUIRE( result.error == Error::NONE );
+                std::size_t switchBlock = decoder.inPlainMode() ? 0 : NEVER;
+                for ( std::size_t block = 1; ; ++block ) {
+                    const auto result = decoder.decode( reader, decoded, reader.tell() + 1 );
+                    REQUIRE( result.error == Error::NONE );
+                    REQUIRE( result.blockCount == 1 );
+                    if ( ( switchBlock == NEVER ) && decoder.inPlainMode() ) {
+                        switchBlock = block;
+                    }
+                    if ( result.reachedFinalBlock ) {
+                        break;
+                    }
+                }
                 results.push_back( std::move( decoded ) );
+                switchBlocks.push_back( switchBlock );
             }
+            REQUIRE( switchBlocks[0] == switchBlocks[1] );
             REQUIRE( results[0].marked.size() == results[1].marked.size() );
             REQUIRE( std::equal( results[0].marked.begin(), results[0].marked.end(),
                                  results[1].marked.begin() ) );
@@ -246,7 +371,37 @@ main()
                                      results[0].plain[i].data.end(),
                                      results[1].plain[i].data.begin() ) );
             }
+            return results[0];
         };
+
+        /* Marker-dense: templated log lines keep copying markers forward,
+         * so nearly every match goes through the marker-carrying copy.
+         * Several mid-stream starts, each decoded to the stream end. */
+        {
+            const auto logs = workloads::logLinesData( SIZE, 0xDEF5 );
+            const auto gz = compressGzipLike( { logs.data(), logs.size() }, 6 );
+            const auto stream = deflateStream( gz );
+            const blockfinder::DynamicBlockFinderNaive finder;
+            for ( const auto eighth : { 1, 4, 7 } ) {
+                const auto blockBit = finder.find( stream, stream.size() * eighth / 8 * 8 );
+                REQUIRE( blockBit != blockfinder::NOT_FOUND );
+                const auto decoded = decodeBoth( stream, blockBit, /* windowKnown */ false );
+                const auto markers = std::count_if(
+                    decoded.marked.begin(), decoded.marked.end(),
+                    [] ( std::uint16_t symbol ) { return symbol >= deflate::MARKER_BASE; } );
+                REQUIRE( decoded.plain.empty() );
+                REQUIRE( static_cast<std::size_t>( markers ) > decoded.marked.size() / 4 );
+            }
+        }
+
+        /* The marker clock after copies of markers, by a short distance
+         * (element loop) and a long one (wildcopy). */
+        for ( const std::size_t copyDistance : { 3, 258 } ) {
+            const auto stream = markerClockStream( copyDistance );
+            const auto decoded = decodeBoth( { stream.data(), stream.size() }, 0, /* windowKnown */ false );
+            REQUIRE( decoded.plain.empty() );
+            REQUIRE( decoded.marked.size() == 258 + deflate::WINDOW_SIZE + 100 + 10 + 64 );
+        }
 
         for ( const auto* workload : { &base64, &fastq, &silesia, &random } ) {
             for ( const int level : { 1, 9 } ) {

@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include <zlib.h>
+
 #include "core/ParallelGzipReader.hpp"
 #include "gzip/BgzfWriter.hpp"
 #include "gzip/ZlibCompressor.hpp"
@@ -332,6 +334,92 @@ testNoFlushEndToEnd( const std::vector<std::uint8_t>& data,
                               seed + 1 );
 }
 
+/** The window offsets every marker of @p data names — sparseWindowOffsets()
+ * without its prefix shortcut. */
+[[nodiscard]] std::vector<bool>
+referencedByAllMarkers( const deflate::DecodedData& data )
+{
+    if ( data.marked.empty() || ( data.totalSize() < deflate::WINDOW_SIZE ) ) {
+        return {};
+    }
+    std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
+    for ( const auto symbol : data.marked ) {
+        if ( symbol >= deflate::MARKER_BASE ) {
+            referenced[symbol - deflate::MARKER_BASE] = true;
+        }
+    }
+    return referenced;
+}
+
+/** sparseWindowOffsets() scans only the first WINDOW_SIZE symbols; on
+ * speculative chunks from many offsets that must find exactly the offsets a
+ * scan of every marker finds, also where markers run far past the prefix. */
+void
+testSparseWindowPrefixScan()
+{
+    std::size_t markersPastPrefix = 0;
+    for ( const auto& data : { workloads::base64Data( 4 * MiB, 0x5CA7 ),
+                               workloads::silesiaLikeData( 4 * MiB, 0x5CA8 ),
+                               workloads::logLinesData( 4 * MiB, 0x5CA9 ) } ) {
+        const MemoryFileReader file( compressGzipLike( { data.data(), data.size() }, 6 ) );
+        constexpr std::size_t OFFSETS = 16;
+        for ( std::size_t i = 1; i < OFFSETS; ++i ) {
+            const auto startBit = file.size() * i / OFFSETS * 8;
+            const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, startBit,
+                                                                       startBit + 256 * KiB * 8,
+                                                                       64 * MiB );
+            if ( chunk.error != Error::NONE ) {
+                continue;
+            }
+            REQUIRE( index::IndexBuilder::sparseWindowOffsets( chunk.data )
+                     == referencedByAllMarkers( chunk.data ) );
+            const auto& marked = chunk.data.marked;
+            if ( std::any_of( marked.begin() + std::min( marked.size(), deflate::WINDOW_SIZE ),
+                              marked.end(),
+                              [] ( std::uint16_t symbol ) { return symbol >= deflate::MARKER_BASE; } ) ) {
+                ++markersPastPrefix;
+            }
+        }
+    }
+    REQUIRE( markersPastPrefix >= 10 );
+}
+
+/** Windows are compressed at zlib level 6; sidecars written with level-9
+ * windows must still import and decode byte-exact. */
+void
+testLevel9WindowsImport()
+{
+    const auto data = workloads::silesiaLikeData( 3 * MiB, 0x1E9 );
+    const auto compressed = compressGzipLike( { data.data(), data.size() }, 6 );
+    GzipIndex index;
+    {
+        ParallelGzipReader builder( std::make_unique<MemoryFileReader>( compressed ), config() );
+        index = builder.exportIndex();
+    }
+    REQUIRE( index.windows.size() > 1 );
+
+    auto level9 = index;
+    std::size_t differing = 0;
+    for ( const auto& [offset, window] : index.windows.compressedWindows() ) {
+        const auto bytes = index::WindowMap::decompress( window );
+        index::WindowMap::CompressedWindow recompressed;
+        recompressed.decompressedSize = window.decompressedSize;
+        auto size = compressBound( static_cast<uLong>( bytes.size() ) );
+        recompressed.zlibData.resize( size );
+        REQUIRE( compress2( recompressed.zlibData.data(), &size, bytes.data(),
+                            static_cast<uLong>( bytes.size() ), Z_BEST_COMPRESSION ) == Z_OK );
+        recompressed.zlibData.resize( size );
+        differing += recompressed.zlibData != window.zlibData ? 1 : 0;
+        level9.windows.insertCompressed( offset, std::move( recompressed ) );
+    }
+    REQUIRE( differing > 0 );
+
+    const auto serialized = index::serializeIndex( level9 );
+    const auto loaded = index::deserializeIndex( { serialized.data(), serialized.size() } );
+    REQUIRE( loaded == level9 );
+    checkIndexedRandomAccess( data, compressed, loaded, 0x56 );
+}
+
 }  // namespace
 
 int
@@ -340,6 +428,8 @@ main()
     testWindowMap();
     testNativeSerialization();
     testGztoolFormat();
+    testSparseWindowPrefixScan();
+    testLevel9WindowsImport();
 
     /* The acceptance workloads: no-flush-point gzip across data shapes —
      * quickly-dying backward pointers (base64), long-lived markers

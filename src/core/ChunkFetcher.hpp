@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../common/Error.hpp"
 #include "../common/ThreadPool.hpp"
 #include "../common/Util.hpp"
 #include "../failsafe/FaultInjection.hpp"
@@ -25,28 +27,16 @@
 namespace rapidgzip {
 
 /**
- * Configuration for the parallel chunk fetcher (paper §3.2). The prefetch
- * strategy decides which chunks to decode speculatively after each access:
- *
- *  - FIXED:        always prefetch the next `parallelism` chunks.
- *  - ADAPTIVE:     start shallow and double the prefetch depth for every
- *                  consecutive sequential access (the paper's default) —
- *                  cheap for random access, full depth for linear scans.
- *  - MULTI_STREAM: track up to four interleaved sequential access streams
- *                  (the ratarmount FUSE pattern) and prefetch ahead of each.
+ * Configuration for the parallel chunk fetcher (paper §3.2). Its prefetch
+ * policy is the paper's adaptive one: start shallow and double the depth
+ * for every consecutive sequential access — cheap for random access, full
+ * depth for linear scans. Passes that read every chunk in order ask for
+ * full depth from their first access (ChunkFetcher::Access::WHOLE_STREAM).
  */
 struct ChunkFetcherConfiguration
 {
-    enum class Strategy
-    {
-        FIXED,
-        ADAPTIVE,
-        MULTI_STREAM,
-    };
-
     std::size_t parallelism{ std::max<std::size_t>( 1, std::thread::hardware_concurrency() ) };
     std::size_t chunkSizeBytes{ 4 * MiB };
-    Strategy strategy{ Strategy::ADAPTIVE };
     /** Decoded chunks kept in the cache; 0 = derive from parallelism. */
     std::size_t cacheChunkCount{ 0 };
     /**
@@ -121,10 +111,12 @@ struct FetcherStatistics
 };
 
 /**
- * Decodes chunks of a chunked Deflate stream on a thread pool, caches the
- * results, and prefetches according to the configured strategy. All public
- * methods are thread-compatible with the single-owner usage pattern of
- * ParallelGzipReader (one consumer thread; decoding is what parallelizes).
+ * Decodes chunks on a thread pool, caches the results, and prefetches ahead
+ * of the consumer. What a chunk index means in compressed bytes is known
+ * only to the decoder callback: a checkpoint span of a gzip stream, a group
+ * of independent frames. All public methods are thread-compatible with the
+ * single-owner usage pattern of the chunked readers (one consumer thread;
+ * decoding is what parallelizes).
  */
 class ChunkFetcher
 {
@@ -134,31 +126,18 @@ public:
      * runs concurrently on the pool workers). */
     using ChunkDecoder = std::function<DecodedChunk( const FileReader&, std::size_t index )>;
 
-    /** How get() prefetches: by the configured strategy, or at full depth
-     * from the first access for a pass that reads every chunk in order. */
+    /** How get() prefetches: ramping up with the sequential streak, or at
+     * full depth from the first access for a pass that reads every chunk in
+     * order. */
     enum class Access
     {
-        BY_STRATEGY,
+        ADAPTIVE,
         WHOLE_STREAM,
     };
 
-    /** Full-flush chunking: byte ranges, each raw-inflated with zlib. */
-    ChunkFetcher( std::shared_ptr<const FileReader> file,
-                  std::vector<ChunkBoundary> chunks,
-                  const ChunkFetcherConfiguration& configuration ) :
-        m_file( std::move( file ) ),
-        m_chunks( std::move( chunks ) ),
-        m_chunkCount( m_chunks.size() ),
-        m_configuration( configuration ),
-        m_cacheCapacity( cacheCapacity( configuration ) ),
-        m_cacheToken( makeCacheToken( configuration, startBits( m_chunks ), /* boundary mode */ 1 ) ),
-        m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
-    {}
-
-    /** Index-driven chunking: @p decoder owns the mapping from chunk index
-     * to checkpoint span; @p chunkStartBits (one compressed bit offset per
-     * chunk) is the geometry the shared-cache key is derived from. The
-     * prefetch/cache machinery is shared verbatim with the full-flush path. */
+    /** @p decoder owns the mapping from chunk index to compressed bytes;
+     * @p chunkStartBits (one compressed bit offset per chunk) is the
+     * geometry the shared-cache key is derived from. */
     ChunkFetcher( std::shared_ptr<const FileReader> file,
                   const std::vector<std::size_t>& chunkStartBits,
                   ChunkDecoder decoder,
@@ -168,7 +147,7 @@ public:
         m_decoder( std::move( decoder ) ),
         m_configuration( configuration ),
         m_cacheCapacity( cacheCapacity( configuration ) ),
-        m_cacheToken( makeCacheToken( configuration, chunkStartBits, /* index mode */ 2 ) ),
+        m_cacheToken( makeCacheToken( configuration, chunkStartBits ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
@@ -196,7 +175,7 @@ public:
 
     /** Blocking chunk access; dispatches prefetches as @p access says. */
     [[nodiscard]] ChunkDataPtr
-    get( std::size_t index, Access access = Access::BY_STRATEGY )
+    get( std::size_t index, Access access = Access::ADAPTIVE )
     {
         std::shared_future<ChunkDataPtr> future;
         {
@@ -290,26 +269,6 @@ public:
     }
 
     /**
-     * Cache-populating decode that bypasses the prefetch strategy and the
-     * statistics — used by the offset-discovery sweep so its work is not
-     * thrown away and does not skew the strategy ablations. Errors surface
-     * on future.get().
-     */
-    [[nodiscard]] std::shared_future<ChunkDataPtr>
-    fetchQuietly( std::size_t index )
-    {
-        const std::lock_guard<std::mutex> lock( m_mutex );
-        ++m_accessClock;
-        if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
-            match->second.lastUse = m_accessClock;
-            return match->second.future;
-        }
-        auto future = insertDecodeTask( index, /* prefetched */ false );
-        evictStaleEntries( index );
-        return future;
-    }
-
-    /**
      * Adopt chunk @p index, decoded elsewhere (the verified sweep's kept
      * prefix), as a ready entry. It counts as neither a prefetch nor an
      * on-demand decode. With a shared tier it goes there too, so its bytes
@@ -344,21 +303,9 @@ private:
         bool installedUnread{ false };
     };
 
-    [[nodiscard]] static std::vector<std::size_t>
-    startBits( const std::vector<ChunkBoundary>& chunks )
-    {
-        std::vector<std::size_t> result;
-        result.reserve( chunks.size() );
-        for ( const auto& chunk : chunks ) {
-            result.push_back( chunk.compressedBegin * 8 );
-        }
-        return result;
-    }
-
     [[nodiscard]] static std::uint64_t
     makeCacheToken( const ChunkFetcherConfiguration& configuration,
-                    const std::vector<std::size_t>& chunkStartBits,
-                    std::uint64_t modeTag )
+                    const std::vector<std::size_t>& chunkStartBits )
     {
         /* The real chunk geometry is folded in: readers of one archive
          * share entries only when their chunks start at the same offsets
@@ -367,7 +314,7 @@ private:
          * false-boundary merge rebuilt the fetcher — never hits entries
          * keyed under the stale table. */
         auto token = mixHash( configuration.cacheIdentity )
-                     ^ mixHash( ( static_cast<std::uint64_t>( chunkStartBits.size() ) << 8U ) | modeTag );
+                     ^ mixHash( chunkStartBits.size() );
         for ( const auto start : chunkStartBits ) {
             token = mixHash( token ^ start );
         }
@@ -385,19 +332,10 @@ private:
     std::shared_future<ChunkDataPtr>
     insertDecodeTask( std::size_t index, bool prefetched )
     {
-        std::function<ChunkDataPtr()> decode;
-        if ( m_decoder ) {
-            decode = [file = m_file, decoder = m_decoder, index] () -> ChunkDataPtr {
+        std::function<ChunkDataPtr()> decode =
+            [file = m_file, decoder = m_decoder, index] () -> ChunkDataPtr {
                 return std::make_shared<const DecodedChunk>( decoder( *file, index ) );
             };
-        } else {
-            const auto boundary = m_chunks[index];
-            decode = [file = m_file, boundary] () -> ChunkDataPtr {
-                return std::make_shared<const DecodedChunk>(
-                    decodeRawDeflateChunk( *file, boundary.compressedBegin,
-                                           boundary.compressedEnd ) );
-            };
-        }
         /* Bounded transient-retry around the decode itself (inside the
          * shared-cache single-flight wrapper below, so waiters of one
          * in-flight decode benefit from its retries too). Transient =
@@ -462,22 +400,8 @@ private:
     dispatchPrefetches( std::size_t accessedIndex, Access access )
     {
         const auto parallelism = std::max<std::size_t>( 1, m_configuration.parallelism );
-        if ( access == Access::WHOLE_STREAM ) {
-            /* Every chunk will be read in order: no ramp to wait for. */
-            for ( std::size_t i = 1; i <= parallelism; ++i ) {
-                prefetch( accessedIndex + i );
-            }
-            return;
-        }
-        switch ( m_configuration.strategy ) {
-        case ChunkFetcherConfiguration::Strategy::FIXED:
-            for ( std::size_t i = 1; i <= parallelism; ++i ) {
-                prefetch( accessedIndex + i );
-            }
-            break;
-
-        case ChunkFetcherConfiguration::Strategy::ADAPTIVE:
-        {
+        auto depth = parallelism;  /* WHOLE_STREAM: no ramp to wait for */
+        if ( access == Access::ADAPTIVE ) {
             /* Repeated accesses to the same chunk (byte-wise read() loops)
              * neither grow nor reset the sequential streak. */
             if ( ( m_lastAccess != SIZE_MAX ) && ( accessedIndex == m_lastAccess + 1 ) ) {
@@ -486,54 +410,11 @@ private:
                 m_sequentialStreak = 0;
             }
             m_lastAccess = accessedIndex;
-            const auto depth = std::min<std::size_t>(
-                parallelism,
-                std::size_t( 1 ) << std::min<std::size_t>( m_sequentialStreak, 16 ) );
-            for ( std::size_t i = 1; i <= depth; ++i ) {
-                prefetch( accessedIndex + i );
-            }
-            break;
+            depth = std::min<std::size_t>(
+                parallelism, std::size_t( 1 ) << std::min<std::size_t>( m_sequentialStreak, 16 ) );
         }
-
-        case ChunkFetcherConfiguration::Strategy::MULTI_STREAM:
-        {
-            constexpr std::size_t MAX_STREAMS = 4;
-            auto stream = std::find_if( m_streams.begin(), m_streams.end(),
-                                        [accessedIndex] ( const AccessStream& s ) {
-                                            return s.nextExpected == accessedIndex
-                                                   || s.nextExpected == accessedIndex + 1;
-                                        } );
-            if ( stream == m_streams.end() ) {
-                if ( m_streams.size() >= MAX_STREAMS ) {
-                    stream = std::min_element( m_streams.begin(), m_streams.end(),
-                                               [] ( const AccessStream& a, const AccessStream& b ) {
-                                                   return a.lastUse < b.lastUse;
-                                               } );
-                } else {
-                    m_streams.push_back( {} );
-                    stream = std::prev( m_streams.end() );
-                }
-                stream->streak = 0;
-            } else if ( stream->nextExpected == accessedIndex ) {
-                /* True sequential advance; repeated accesses to the same
-                 * chunk (byte-wise read() loops) leave the streak alone. */
-                ++stream->streak;
-            }
-            stream->nextExpected = accessedIndex + 1;
-            stream->lastUse = m_accessClock;
-
-            /* Budget splits across streams; each ramps up with its streak
-             * like ADAPTIVE so a stray one-off access stays cheap. */
-            const auto perStreamBudget =
-                std::max<std::size_t>( 1, parallelism / std::max<std::size_t>( 1, m_streams.size() ) );
-            for ( const auto& s : m_streams ) {
-                const auto depth = std::min( perStreamBudget, s.streak + 1 );
-                for ( std::size_t i = 0; i < depth; ++i ) {
-                    prefetch( s.nextExpected + i );
-                }
-            }
-            break;
-        }
+        for ( std::size_t i = 1; i <= depth; ++i ) {
+            prefetch( accessedIndex + i );
         }
     }
 
@@ -573,17 +454,9 @@ private:
         }
     }
 
-    struct AccessStream
-    {
-        std::size_t nextExpected{ 0 };
-        std::size_t streak{ 0 };
-        std::uint64_t lastUse{ 0 };
-    };
-
     std::shared_ptr<const FileReader> m_file;
-    std::vector<ChunkBoundary> m_chunks;  /**< full-flush mode only */
     std::size_t m_chunkCount{ 0 };
-    ChunkDecoder m_decoder;               /**< index mode only */
+    ChunkDecoder m_decoder;
     ChunkFetcherConfiguration m_configuration;
     std::size_t m_cacheCapacity;
     std::uint64_t m_cacheToken;
@@ -595,10 +468,65 @@ private:
 
     std::size_t m_lastAccess{ SIZE_MAX };
     std::size_t m_sequentialStreak{ 0 };
-    std::vector<AccessStream> m_streams;
 
     /* Pool last: its destructor runs first, joining workers that capture m_file. */
     ThreadPool m_threadPool;
 };
+
+/** Uncompressed chunk offsets from chunk sizes: chunkCount + 1 entries,
+ * starting at 0 and ending at the total size. */
+[[nodiscard]] inline std::vector<std::size_t>
+chunkOffsets( const std::vector<std::size_t>& sizes )
+{
+    std::vector<std::size_t> offsets;
+    offsets.reserve( sizes.size() + 1 );
+    offsets.push_back( 0 );
+    for ( const auto size : sizes ) {
+        offsets.push_back( offsets.back() + size );
+    }
+    return offsets;
+}
+
+/**
+ * The one chunk walk under every chunked read (ParallelGzipReader's read(),
+ * readSpans() and decompressAll(sink), FrameParallelReader's readAt() and
+ * readSpansAt()): hand @p visit each chunk covering [position,
+ * position + size) with the offset and length of the covered part.
+ * @p uncompressedOffsets is chunkOffsets() of the chunk sizes. Returns the
+ * bytes visited (short at EOF).
+ *
+ * A chunk whose decoded size differs from its recorded span means the
+ * offsets are stale or corrupt (an imported index, an adopted sidecar):
+ * an overstated span would read past the chunk, an understated one shifts
+ * every later offset, so both throw instead of serving bytes from the
+ * wrong stream position.
+ */
+template<typename Visitor>
+[[nodiscard]] std::size_t
+walkChunks( ChunkFetcher& fetcher,
+            const std::vector<std::size_t>& uncompressedOffsets,
+            std::size_t position,
+            std::size_t size,
+            const Visitor& visit )
+{
+    std::size_t produced = 0;
+    while ( ( produced < size ) && ( position < uncompressedOffsets.back() ) ) {
+        const auto next = std::upper_bound( uncompressedOffsets.begin(),
+                                            uncompressedOffsets.end(), position );
+        const auto chunkIndex = static_cast<std::size_t>(
+            std::distance( uncompressedOffsets.begin(), next ) ) - 1U;
+        const auto chunk = fetcher.get( chunkIndex );
+        if ( chunk->data.size() != *next - uncompressedOffsets[chunkIndex] ) {
+            throw RapidgzipError( "Chunk size disagrees with the recorded chunk offsets — "
+                                  "stale or corrupt index" );
+        }
+        const auto offsetInChunk = position - uncompressedOffsets[chunkIndex];
+        const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
+        visit( chunk, offsetInChunk, take );
+        produced += take;
+        position += take;
+    }
+    return produced;
+}
 
 }  // namespace rapidgzip

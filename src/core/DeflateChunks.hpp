@@ -24,14 +24,14 @@ namespace rapidgzip {
  * Shared machinery for chunked parallel gzip decompression: locating
  * full-flush restart points (the pigz/Z_FULL_FLUSH `00 00 FF FF` sync
  * marker), partitioning the stream into chunks, and raw-Deflate-decoding a
- * chunk that starts at such a restart point. Used by ParallelGzipReader and
- * the pugz-like baseline.
+ * chunk that starts at such a restart point. Used by ParallelGzipReader
+ * (through GzipChunkFetcher::decodeChunkFromCheckpoint, for every
+ * byte-aligned windowless span) and the pugz-like baseline.
  *
  * A full flush both byte-aligns the stream (empty stored block) and resets
  * the LZ77 window, so a chunk starting right after the marker decodes
  * standalone with an empty window. Chunks that need window propagation
- * (arbitrary block offsets) arrive with the two-stage decoder in a later
- * PR.
+ * (arbitrary block offsets) are GzipChunkFetcher's.
  */
 
 inline constexpr std::size_t FULL_FLUSH_MARKER_SIZE = 4;
@@ -216,12 +216,6 @@ private:
 }  // namespace detail
 
 /**
- * Raw-Deflate-decode the chunk [begin, end). @p begin must be a restart
- * point (empty window). Handles gzip member transitions that fall inside
- * the chunk (trailer + next member's header + fresh Deflate stream).
- * Throws InvalidGzipStreamError if zlib rejects the data.
- */
-/**
  * Derive the whole-chunk CRC32 from the per-member segment CRCs via
  * simd::crc32Combine — O(log n) per segment instead of a second hashing
  * pass, with no z_off_t length ceiling (the zlib-era re-hash fallback for
@@ -244,6 +238,12 @@ combineSegmentCrcs( const DecodedChunk& chunk )
     return combined;
 }
 
+/**
+ * Raw-Deflate-decode the chunk [begin, end). @p begin must be a restart
+ * point (empty window). Handles gzip member transitions that fall inside
+ * the chunk (trailer + next member's header + fresh Deflate stream).
+ * Throws InvalidGzipStreamError if zlib rejects the data.
+ */
 [[nodiscard]] inline DecodedChunk
 decodeRawDeflateChunk( const FileReader& file, std::size_t begin, std::size_t end )
 {

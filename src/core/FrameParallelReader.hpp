@@ -37,11 +37,11 @@ struct CompressedFrame
  * Format-agnostic chunked parallel decompression over a table of
  * independent frames — the piece that makes ChunkFetcher's cache/prefetch
  * machinery serve EVERY backend, not just gzip. The gzip-specific
- * ParallelGzipReader keeps its own pipeline (block finding, marker decode,
- * window stitching: gzip frames are NOT independent); backends whose
+ * ParallelGzipReader keeps its own chunk geometry (block finding, marker
+ * decode, window stitching: gzip frames are NOT independent); backends whose
  * container gives real independence (zstd seekable frames, lz4 independent
  * blocks, bzip2 blocks) hand this class their frame table plus a per-frame
- * decoder, and get the same strategy-driven prefetching, bounded cache,
+ * decoder, and get the same adaptive prefetching, bounded cache, chunk walk
  * and O(1)-per-chunk random access the paper builds for gzip.
  *
  * Frames are grouped into chunks of up to plannedChunkBytes (about two
@@ -109,7 +109,7 @@ public:
                 sink( { chunk->data.data(), chunk->data.size() } );
             }
         }
-        recordChunkSizes( sizes );
+        m_uncompressedOffsets = chunkOffsets( sizes );
         return total;
     }
 
@@ -128,25 +128,12 @@ public:
     readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
     {
         ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( offset < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), offset );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto offsetInChunk = offset - m_uncompressedOffsets[chunkIndex];
-            if ( offsetInChunk >= chunk->data.size() ) {
-                throw RapidgzipError( "Chunk size disagrees with the frame table — "
-                                      "corrupt stream or stale offsets" );
-            }
-            const auto toCopy = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            std::memcpy( buffer + produced, chunk->data.data() + offsetInChunk, toCopy );
-            produced += toCopy;
-            offset += toCopy;
-        }
-        return produced;
+        return walkChunks( *m_fetcher, m_uncompressedOffsets, offset, size,
+                           [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                       std::size_t offsetInChunk, std::size_t take ) {
+                               std::memcpy( buffer, chunk->data.data() + offsetInChunk, take );
+                               buffer += take;
+                           } );
     }
 
     /** Zero-copy variant of readAt: lends refcounted spans straight out of
@@ -157,25 +144,11 @@ public:
     readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans )
     {
         ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( offset < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), offset );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto offsetInChunk = offset - m_uncompressedOffsets[chunkIndex];
-            if ( offsetInChunk >= chunk->data.size() ) {
-                throw RapidgzipError( "Chunk size disagrees with the frame table — "
-                                      "corrupt stream or stale offsets" );
-            }
-            const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            spans.push_back( lendChunkSpan( chunk, offsetInChunk, take ) );
-            produced += take;
-            offset += take;
-        }
-        return produced;
+        return walkChunks( *m_fetcher, m_uncompressedOffsets, offset, size,
+                           [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                      std::size_t offsetInChunk, std::size_t take ) {
+                               spans.push_back( lendChunkSpan( chunk, offsetInChunk, take ) );
+                           } );
     }
 
     /** Chunk-granular seek points: (compressed bit offset, uncompressed
@@ -217,7 +190,7 @@ public:
     adoptChunkOffsets( const std::vector<std::pair<std::size_t, std::size_t> >& seekPoints,
                        std::size_t uncompressedSize )
     {
-        if ( m_offsetsKnown ) {
+        if ( !m_uncompressedOffsets.empty() ) {
             return true;  /* nothing left to save */
         }
         if ( seekPoints.empty() != m_frames->empty() ) {
@@ -264,7 +237,7 @@ public:
         }
         m_chunkToFrames = std::move( chunkToFrames );
         buildFetcher();
-        recordChunkSizes( sizes );
+        m_uncompressedOffsets = chunkOffsets( sizes );
         return true;
     }
 
@@ -325,7 +298,7 @@ private:
     void
     ensureOffsetsKnown()
     {
-        if ( m_offsetsKnown ) {
+        if ( !m_uncompressedOffsets.empty() ) {
             return;
         }
         /* A fully-sized frame table (zstd seek table / frame headers) gives
@@ -342,24 +315,13 @@ private:
                     sizes[i] += ( *m_frames )[f].uncompressedSize;
                 }
             }
-            recordChunkSizes( sizes );
+            m_uncompressedOffsets = chunkOffsets( sizes );
             return;
         }
         /* Unknown sizes (lz4 blocks, bzip2 blocks): one measuring sweep.
          * Decodes go through the fetcher's cache, so the work feeds any
          * subsequent reads instead of being thrown away. */
         (void)decompress( {} );
-    }
-
-    void
-    recordChunkSizes( const std::vector<std::size_t>& sizes )
-    {
-        m_uncompressedOffsets.assign( 1, 0 );
-        m_uncompressedOffsets.reserve( sizes.size() + 1 );
-        for ( const auto size : sizes ) {
-            m_uncompressedOffsets.push_back( m_uncompressedOffsets.back() + size );
-        }
-        m_offsetsKnown = true;
     }
 
     std::shared_ptr<const FileReader> m_file;
@@ -369,8 +331,7 @@ private:
     ChunkFetcherConfiguration m_configuration;
     std::unique_ptr<ChunkFetcher> m_fetcher;
 
-    std::vector<std::size_t> m_uncompressedOffsets;  /**< chunks + 1 once known */
-    bool m_offsetsKnown{ false };
+    std::vector<std::size_t> m_uncompressedOffsets;  /**< chunks + 1 once known, else empty */
 };
 
 }  // namespace rapidgzip

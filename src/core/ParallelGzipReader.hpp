@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,17 +27,19 @@
 namespace rapidgzip {
 
 /**
- * Parallel gzip decompressor over chunked streams (pigz-style full-flush
- * members, concatenated members, BGZF once its writer lands). Architecture
- * per the paper: a SharedFileReader feeds per-chunk raw-Deflate decodes on
- * a thread pool; a strategy-driven prefetcher keeps the pool busy ahead of
- * the consumer; decoded chunks land in a bounded cache serving random
- * access reads.
+ * Parallel gzip decompressor: plain gzip (two-stage sweep), pigz-style
+ * full-flush streams, concatenated members, BGZF and imported indexes.
+ * Architecture per the paper: a SharedFileReader feeds per-chunk decodes on
+ * a thread pool; an adaptive prefetcher keeps the pool busy ahead of the
+ * consumer; decoded chunks land in a bounded cache serving random access
+ * reads. Every source of chunk geometry ends up as one table of chunk start
+ * bits, decoded by GzipChunkFetcher::decodeChunkFromCheckpoint.
  *
- * Correctness is layered: chunk boundaries are validated restart points; a
- * full decompressAll() cross-checks the combined CRC32 and ISIZE against
- * the gzip footer (setVerifyChecksums(false) disables this); any failure in
- * the parallel path falls back to a serial zlib decode, which is the
+ * Correctness is layered: chunk boundaries are validated restart points or
+ * index checkpoints; the one whole-stream pass behind decompressAll() and
+ * size discovery cross-checks every member's combined CRC32 and ISIZE
+ * against its footer (setVerifyChecksums(false) disables this); any failure
+ * in the parallel path falls back to a serial zlib decode, which is the
  * authority.
  *
  * Thread model: one consumer thread drives this object; the parallelism
@@ -71,82 +73,8 @@ public:
         if ( m_parallelResultUntrusted ) {
             return serialDecompressCount();
         }
-
-        /* Streams WITHOUT full-flush restart points (plain `gzip` output)
-         * used to degrade to one serial chunk. The two-stage pipeline
-         * decodes them in parallel from guessed bit offsets instead — and,
-         * as a byproduct, builds the bit-granular seek index that makes
-         * every subsequent seek()/read() constant-time. The full-flush path
-         * remains the fast path when restart points or an imported index
-         * make block finding unnecessary. Any two-stage failure falls
-         * through to the flush-point path, whose own fallback is the
-         * authoritative serial zlib decode. */
-        ensureChunkTable();
-        if ( !m_indexed && ( m_chunks.size() <= 1 ) ) {
-            try {
-                return decompressAllTwoStage();
-            } catch ( const RapidgzipError& ) {
-                /* fall through */
-            }
-        }
-
-        ensureFetcher();
-        while ( true ) {
-            std::size_t total = 0;
-            bool lastChunkEndedStream = false;
-            std::vector<std::size_t> sizes( m_fetcher->chunkCount() );
-            std::size_t failedChunk = SIZE_MAX;
-            /* Per-MEMBER verification state: every concatenated member's
-             * CRC32 and ISIZE are checked against ITS footer, combined
-             * across chunk boundaries from the chunks' member segments. */
-            MemberVerifier verifier( *m_file );
-            bool checksumMismatch = false;
-
-            for ( std::size_t i = 0; i < m_fetcher->chunkCount(); ++i ) {
-                ChunkFetcher::ChunkDataPtr chunk;
-                try {
-                    chunk = m_fetcher->get( i, ChunkFetcher::Access::WHOLE_STREAM );
-                } catch ( const RapidgzipError& ) {
-                    failedChunk = i;
-                    break;
-                }
-                sizes[i] = chunk->data.size();
-                total += chunk->data.size();
-                lastChunkEndedStream = chunk->reachedStreamEnd;
-                if ( m_verifyChecksums && !verifier.consume( *chunk ) ) {
-                    checksumMismatch = true;
-                    break;
-                }
-            }
-
-            if ( checksumMismatch ) {
-                /* The parallel chunking produced wrong bytes (e.g. a false
-                 * restart point that decoded "cleanly"): poison the chunked
-                 * state so read()/seek() cannot serve the corrupt data, and
-                 * let the serial decode answer. */
-                m_parallelResultUntrusted = true;
-                m_offsetsKnown = false;
-                m_chunkTableKnown = false;
-                m_indexed = false;
-                m_index.reset();
-                m_fetcher.reset();
-                return serialDecompressCount();
-            }
-            if ( failedChunk != SIZE_MAX ) {
-                if ( !mergeFalseBoundary( failedChunk ) ) {
-                    return serialDecompressCount();
-                }
-                continue;
-            }
-
-            if ( !lastChunkEndedStream ) {
-                throw InvalidGzipStreamError(
-                    "Gzip stream ended before the final Deflate block — truncated file" );
-            }
-
-            recordChunkSizes( sizes );
-            return total;
-        }
+        const auto total = verifiedPass();
+        return total ? *total : serialDecompressCount();
     }
 
     /**
@@ -175,12 +103,12 @@ public:
         if ( !m_parallelResultUntrusted ) {
             try {
                 seek( 0 );
-                return walkChunks( std::numeric_limits<std::size_t>::max(),
-                                   [&] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                         std::size_t offsetInChunk, std::size_t size ) {
-                                       sink( { chunk->data.data() + offsetInChunk, size } );
-                                       emitted += size;
-                                   } );
+                return walk( std::numeric_limits<std::size_t>::max(),
+                             [&] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                   std::size_t offsetInChunk, std::size_t size ) {
+                                 sink( { chunk->data.data() + offsetInChunk, size } );
+                                 emitted += size;
+                             } );
             } catch ( const RapidgzipError& ) {
                 /* The chunked state cannot replay what the verification
                  * sweep answered serially; fall through to the authority.
@@ -209,7 +137,9 @@ public:
 
     /* --- random access interface ------------------------------------ */
 
-    /** Total uncompressed size (triggers chunk size discovery if unknown). */
+    /** Total uncompressed size. Unless an index supplied the offsets, the
+     * first call (or the first read()) runs the verified whole-stream pass,
+     * so a footer mismatch throws ChecksumError here. */
     [[nodiscard]] std::size_t
     size()
     {
@@ -233,8 +163,8 @@ public:
     [[nodiscard]] std::size_t
     read( std::uint8_t* buffer, std::size_t size )
     {
-        return walkChunks( size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                             std::size_t offsetInChunk, std::size_t take ) {
+        return walk( size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                       std::size_t offsetInChunk, std::size_t take ) {
             std::memcpy( buffer, chunk->data.data() + offsetInChunk, take );
             buffer += take;
         } );
@@ -248,8 +178,8 @@ public:
     [[nodiscard]] std::size_t
     readSpans( std::size_t size, std::vector<OwnedSpan>& spans )
     {
-        return walkChunks( size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                            std::size_t offsetInChunk, std::size_t take ) {
+        return walk( size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                      std::size_t offsetInChunk, std::size_t take ) {
             spans.push_back( lendChunkSpan( chunk, offsetInChunk, take ) );
         } );
     }
@@ -276,10 +206,9 @@ public:
         GzipIndex index;
         index.compressedSizeBytes = m_file->size();
         index.uncompressedSizeBytes = m_uncompressedOffsets.back();
-        index.checkpoints.reserve( m_chunks.size() );
-        for ( std::size_t i = 0; i < m_chunks.size(); ++i ) {
-            index.checkpoints.push_back( { m_chunks[i].compressedBegin * 8,
-                                           m_uncompressedOffsets[i] } );
+        index.checkpoints.reserve( m_chunkStartBits.size() );
+        for ( std::size_t i = 0; i < m_chunkStartBits.size(); ++i ) {
+            index.checkpoints.push_back( { m_chunkStartBits[i], m_uncompressedOffsets[i] } );
         }
         return index;
     }
@@ -348,7 +277,7 @@ public:
     chunkCount()
     {
         ensureChunkTable();
-        return m_indexed ? m_index->checkpoints.size() : m_chunks.size();
+        return m_chunkStartBits.size();
     }
 
     /** True when seek()/read() dispatch from index checkpoints (imported,
@@ -362,44 +291,88 @@ public:
     }
 
 private:
-    /**
-     * The one chunk loop under read(), readSpans() and the sink emission:
-     * hand @p visit each chunk covering [position, position + size) with
-     * the offset and length of the covered part, advancing the position.
-     * Returns the bytes visited (short at EOF).
-     */
+    /** walkChunks() from the current position, which it advances. */
     template<typename Visitor>
     [[nodiscard]] std::size_t
-    walkChunks( std::size_t size, const Visitor& visit )
+    walk( std::size_t size, const Visitor& visit )
     {
         ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), m_position );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
-                                     - m_uncompressedOffsets[chunkIndex];
-            if ( chunk->data.size() != claimedSpan ) {
-                /* Only possible when an imported index misstates a chunk's
-                 * uncompressed span — never with discovered offsets. Both
-                 * directions are corruption: overstated spans would read
-                 * out of bounds, understated ones would return bytes from
-                 * the wrong stream position. */
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
-            const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            visit( chunk, offsetInChunk, take );
-            produced += take;
-            m_position += take;
-        }
+        const auto produced = walkChunks( *m_fetcher, m_uncompressedOffsets, m_position, size,
+                                          visit );
+        m_position += produced;
         return produced;
+    }
+
+    /**
+     * The one whole-stream pass, behind decompressAll() and size discovery.
+     * A stream without restart points goes through the two-stage sweep
+     * (decompressAllTwoStage). Otherwise every chunk is decoded in order at
+     * full prefetch depth, each member is checked against its footer
+     * (unless setVerifyChecksums(false)), and the chunk sizes are recorded.
+     * A chunk that fails to decode had a false restart boundary: it is
+     * merged away and the pass restarts, still parallel. Returns the total
+     * size, or nothing when only the serial decode can answer: a footer
+     * mismatch, which poisons the chunked state so read()/seek() cannot
+     * serve the corrupt data, or a failed chunk with no boundary left to
+     * merge. Throws InvalidGzipStreamError for a stream that ends before
+     * its final Deflate block.
+     */
+    [[nodiscard]] std::optional<std::size_t>
+    verifiedPass()
+    {
+        ensureChunkTable();
+        if ( !m_indexed && ( m_chunkStartBits.size() <= 1 ) ) {
+            try {
+                return decompressAllTwoStage();
+            } catch ( const RapidgzipError& ) {
+                /* fall through to the single-chunk pass */
+            }
+        }
+
+        ensureFetcher();
+        while ( true ) {
+            std::vector<std::size_t> sizes( m_fetcher->chunkCount() );
+            std::size_t failedChunk = SIZE_MAX;
+            bool lastChunkEndedStream = false;
+            /* Per-MEMBER verification state: every concatenated member's
+             * CRC32 and ISIZE are checked against ITS footer, combined
+             * across chunk boundaries from the chunks' member segments. */
+            MemberVerifier verifier( *m_file );
+
+            for ( std::size_t i = 0; i < sizes.size(); ++i ) {
+                ChunkFetcher::ChunkDataPtr chunk;
+                try {
+                    chunk = m_fetcher->get( i, ChunkFetcher::Access::WHOLE_STREAM );
+                } catch ( const RapidgzipError& ) {
+                    failedChunk = i;
+                    break;
+                }
+                sizes[i] = chunk->data.size();
+                lastChunkEndedStream = chunk->reachedStreamEnd;
+                if ( m_verifyChecksums && !verifier.consume( *chunk ) ) {
+                    m_parallelResultUntrusted = true;
+                    m_uncompressedOffsets.clear();
+                    m_chunkStartBits.clear();
+                    m_indexed = false;
+                    m_index.reset();
+                    m_fetcher.reset();
+                    return std::nullopt;
+                }
+            }
+
+            if ( failedChunk != SIZE_MAX ) {
+                if ( !mergeFalseBoundary( failedChunk ) ) {
+                    return std::nullopt;
+                }
+                continue;
+            }
+            if ( !lastChunkEndedStream ) {
+                throw InvalidGzipStreamError(
+                    "Gzip stream ended before the final Deflate block — truncated file" );
+            }
+            m_uncompressedOffsets = chunkOffsets( sizes );
+            return m_uncompressedOffsets.back();
+        }
     }
 
     /**
@@ -430,31 +403,31 @@ private:
         return total;
     }
 
-    /** Switch to index-driven chunking: offsets come from the checkpoints,
-     * chunk decodes from decodeChunkFromCheckpoint with seeded windows. */
+    /** Switch to index-driven chunking: chunk starts and offsets come from
+     * the checkpoints, windows from the index. */
     void
     adoptIndex( std::shared_ptr<const GzipIndex> index )
     {
         m_index = std::move( index );
         m_indexed = true;
-        m_chunks.clear();
-        m_chunkTableKnown = true;
+        m_chunkStartBits.clear();
+        m_chunkStartBits.reserve( m_index->checkpoints.size() );
         m_uncompressedOffsets.clear();
         m_uncompressedOffsets.reserve( m_index->checkpoints.size() + 1 );
         for ( const auto& checkpoint : m_index->checkpoints ) {
+            m_chunkStartBits.push_back( checkpoint.compressedOffsetBits );
             m_uncompressedOffsets.push_back( checkpoint.uncompressedOffset );
         }
         m_uncompressedOffsets.push_back( m_index->uncompressedSizeBytes );
-        m_offsetsKnown = true;
         /* A trustworthy index supersedes whatever chunking failed before. */
         m_parallelResultUntrusted = false;
-        m_fetcher.reset();  /* rebuild lazily on the indexed decoder */
+        m_fetcher.reset();  /* rebuild lazily on the new geometry */
     }
 
     void
     ensureChunkTable()
     {
-        if ( m_chunkTableKnown ) {
+        if ( !m_chunkStartBits.empty() ) {
             return;
         }
         /* Restart points are free here, so chunks are sized to the pool
@@ -469,10 +442,18 @@ private:
             adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ) );
             return;
         }
-        m_chunks = discoverChunks( *m_file, chunkBytes );
-        m_chunkTableKnown = true;
+        for ( const auto& chunk : discoverChunks( *m_file, chunkBytes ) ) {
+            m_chunkStartBits.push_back( chunk.compressedBegin * 8 );
+        }
     }
 
+    /**
+     * Build the fetcher over the chunk table. One decoder serves every
+     * source of geometry: chunk i spans [start i, start i + 1), resumed with
+     * the index's window for that start when there is one. Full-flush
+     * starts and BGZF members are byte-aligned and windowless, which
+     * decodeChunkFromCheckpoint hands to the zlib restart-point decode.
+     */
     void
     ensureFetcher()
     {
@@ -480,107 +461,37 @@ private:
         if ( m_fetcher ) {
             return;
         }
-        auto file = std::shared_ptr<const FileReader>( m_file->clone().release() );
-        if ( m_indexed ) {
-            /* The decoder callback runs on pool workers: it captures the
-             * immutable index by shared_ptr and only uses const accessors. */
-            auto decoder = [index = m_index] ( const FileReader& reader, std::size_t i ) {
-                const auto& checkpoints = index->checkpoints;
-                const auto startBits = checkpoints[i].compressedOffsetBits;
-                const auto untilBits = i + 1 < checkpoints.size()
-                                       ? checkpoints[i + 1].compressedOffsetBits
-                                       : std::numeric_limits<std::size_t>::max();
-                const auto window = index->windows.get( startBits );
-                return GzipChunkFetcher::decodeChunkFromCheckpoint(
-                    reader, startBits, untilBits, { window.data(), window.size() } );
-            };
-            std::vector<std::size_t> startBits;
-            startBits.reserve( m_index->checkpoints.size() );
-            for ( const auto& checkpoint : m_index->checkpoints ) {
-                startBits.push_back( checkpoint.compressedOffsetBits );
-            }
-            m_fetcher = std::make_unique<ChunkFetcher>( std::move( file ), startBits,
-                                                        std::move( decoder ), m_configuration );
-        } else {
-            m_fetcher = std::make_unique<ChunkFetcher>( std::move( file ), m_chunks,
-                                                        m_configuration );
-        }
+        /* The decoder runs on pool workers: it captures the immutable
+         * geometry and index by shared_ptr and only uses const accessors. */
+        auto decoder = [starts = std::make_shared<const std::vector<std::size_t> >( m_chunkStartBits ),
+                        index = m_index] ( const FileReader& reader, std::size_t i ) {
+            const auto untilBits = i + 1 < starts->size() ? ( *starts )[i + 1]
+                                                          : std::numeric_limits<std::size_t>::max();
+            const auto window = index ? index->windows.get( ( *starts )[i] )
+                                      : std::vector<std::uint8_t>{};
+            return GzipChunkFetcher::decodeChunkFromCheckpoint(
+                reader, ( *starts )[i], untilBits, { window.data(), window.size() } );
+        };
+        m_fetcher = std::make_unique<ChunkFetcher>(
+            std::shared_ptr<const FileReader>( m_file->clone().release() ), m_chunkStartBits,
+            std::move( decoder ), m_configuration );
     }
 
-    /**
-     * Discover every chunk's uncompressed size with one parallel sweep.
-     * Decodes go through the fetcher's cache (without touching the prefetch
-     * statistics), so the tail of the sweep stays resident for subsequent
-     * reads; batching bounds memory to ~2 cache capacities. A chunk that
-     * fails to decode had a false boundary: merge it away and retry —
-     * into its predecessor (bad start) or, when chunk 0 fails, into its
-     * successor (boundary truncating a member header near the chunk end).
-     */
+    /** Offsets for seek()/read(): discovered by the verified pass unless an
+     * index supplied them. Throws ChecksumError when the pass found a
+     * footer mismatch, InvalidGzipStreamError when nothing decodes. */
     void
     ensureOffsetsKnown()
     {
+        if ( m_uncompressedOffsets.empty() && !m_parallelResultUntrusted && !verifiedPass()
+             && !m_parallelResultUntrusted ) {
+            throw InvalidGzipStreamError( "The gzip stream is undecodable" );
+        }
         if ( m_parallelResultUntrusted ) {
             throw ChecksumError( "Parallel chunking failed footer verification for this "
                                  "stream; use the serial GzipReader for it" );
         }
-        if ( m_offsetsKnown ) {
-            ensureFetcher();
-            return;
-        }
-        ensureChunkTable();
-        /* A stream without restart points would degrade to ONE serial chunk
-         * for every read. Run the two-stage sweep once instead: it verifies
-         * against the footer and leaves behind the bit-granular index, after
-         * which random access decodes single inter-checkpoint spans in
-         * parallel. Failure (exotic streams the sweep cannot chunk) falls
-         * back to the serial single-chunk path below. */
-        if ( !m_indexed && ( m_chunks.size() <= 1 ) ) {
-            try {
-                (void)decompressAllTwoStage();  /* adopts the index on success */
-                ensureFetcher();
-                return;
-            } catch ( const RapidgzipError& ) {
-                /* fall through to the single-chunk path */
-            }
-        }
         ensureFetcher();
-
-        while ( true ) {
-            std::vector<std::size_t> sizes( m_chunks.size() );
-            std::size_t failedChunk = SIZE_MAX;
-            bool lastChunkEndedStream = false;
-            const auto batchSize = std::max<std::size_t>( 2 * m_configuration.parallelism, 8 );
-            for ( std::size_t batch = 0; batch < m_chunks.size() && failedChunk == SIZE_MAX;
-                  batch += batchSize ) {
-                const auto batchEnd = std::min( batch + batchSize, m_chunks.size() );
-                std::vector<std::shared_future<ChunkFetcher::ChunkDataPtr> > futures;
-                for ( std::size_t i = batch; i < batchEnd; ++i ) {
-                    futures.push_back( m_fetcher->fetchQuietly( i ) );
-                }
-                for ( std::size_t i = batch; i < batchEnd; ++i ) {
-                    try {
-                        const auto chunk = futures[i - batch].get();
-                        sizes[i] = chunk->data.size();
-                        lastChunkEndedStream = chunk->reachedStreamEnd;
-                    } catch ( const RapidgzipError& ) {
-                        failedChunk = i;
-                        break;
-                    }
-                }
-            }
-
-            if ( failedChunk == SIZE_MAX ) {
-                if ( !lastChunkEndedStream ) {
-                    throw InvalidGzipStreamError(
-                        "Gzip stream ended before the final Deflate block — truncated file" );
-                }
-                recordChunkSizes( sizes );
-                return;
-            }
-            if ( !mergeFalseBoundary( failedChunk ) ) {
-                throw InvalidGzipStreamError( "The gzip stream is undecodable" );
-            }
-        }
     }
 
     /**
@@ -588,34 +499,21 @@ private:
      * to decode: merge into the predecessor (bad chunk start) or, for chunk
      * 0, into the successor (boundary truncating a member header near the
      * chunk end). Rebuilds the fetcher on the new table. Returns false when
-     * a single full-stream chunk remains — nothing left to merge.
+     * there is nothing to merge: a single full-stream chunk, or index
+     * checkpoints, which are not guessed restart points.
      */
     [[nodiscard]] bool
     mergeFalseBoundary( std::size_t failedChunk )
     {
-        if ( m_chunks.size() <= 1 ) {
+        if ( m_indexed || ( m_chunkStartBits.size() <= 1 ) ) {
             return false;
         }
-        const auto mergeInto = failedChunk == 0 ? std::size_t( 0 ) : failedChunk - 1;
-        const auto mergeFrom = failedChunk == 0 ? std::size_t( 1 ) : failedChunk;
-        m_chunks[mergeInto].compressedEnd = m_chunks[mergeFrom].compressedEnd;
-        m_chunks.erase( m_chunks.begin() + static_cast<std::ptrdiff_t>( mergeFrom ) );
-        m_offsetsKnown = false;
-        m_fetcher = std::make_unique<ChunkFetcher>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            m_chunks, m_configuration );
+        m_chunkStartBits.erase( m_chunkStartBits.begin()
+                                + static_cast<std::ptrdiff_t>( std::max<std::size_t>( failedChunk, 1 ) ) );
+        m_uncompressedOffsets.clear();
+        m_fetcher.reset();
+        ensureFetcher();
         return true;
-    }
-
-    void
-    recordChunkSizes( const std::vector<std::size_t>& sizes )
-    {
-        m_uncompressedOffsets.assign( 1, 0 );
-        m_uncompressedOffsets.reserve( sizes.size() + 1 );
-        for ( const auto size : sizes ) {
-            m_uncompressedOffsets.push_back( m_uncompressedOffsets.back() + size );
-        }
-        m_offsetsKnown = true;
     }
 
     /**
@@ -696,10 +594,11 @@ private:
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
-    std::vector<ChunkBoundary> m_chunks;             /**< full-flush mode only */
-    std::vector<std::size_t> m_uncompressedOffsets;  /**< size chunks+1 once known */
-    bool m_chunkTableKnown{ false };
-    bool m_offsetsKnown{ false };
+    /** Compressed start of every chunk: full-flush restart points or index
+     * checkpoints; empty until the chunk table is known. */
+    std::vector<std::size_t> m_chunkStartBits;
+    /** chunkOffsets() of the chunk sizes; empty until they are known. */
+    std::vector<std::size_t> m_uncompressedOffsets;
 
     /** Set when chunking is index-driven (imported, BGZF-scanned, or
      * harvested by the two-stage sweep); m_index then owns the chunk

@@ -25,7 +25,9 @@ namespace rapidgzip::formats {
  * judged by mtime (sidecar no older than the archive) plus the index's
  * own recorded compressed size and format tag; anything stale, corrupt,
  * or mismatched silently falls back to normal discovery — a sidecar can
- * make an open faster, never wrong.
+ * make an open faster, never wrong. Offsets that pass those checks yet
+ * disagree with a chunk's decoded size make every read of that chunk fail
+ * in walkChunks() instead of serving shifted bytes.
  */
 
 [[nodiscard]] inline std::string

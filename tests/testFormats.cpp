@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -329,6 +330,91 @@ testBzip2Reader()
 }
 #endif
 
+/**
+ * Seek points adopted from a sidecar that misstate a chunk's size must not
+ * serve bytes from the wrong stream position: a read touching the
+ * mis-sized chunk fails in the chunk walk, through readAt() and
+ * readSpansAt() alike. Every point but the first moves by 4096 bytes, down
+ * (chunk 0 understated, the last chunk overstated) or up (the reverse).
+ * One read straddles chunk 0's recorded end; one lies in the last chunk,
+ * where a walk that does not check sizes serves shifted bytes. lz4
+ * surfaces the walk's error; bzip2 answers it with its serial authority,
+ * so there the true bytes come back and the backend stops using its
+ * parallel path.
+ */
+template<typename Backend, bool SERIAL_FALLBACK>
+void
+checkMisstatedSeekPoints( const std::vector<std::uint8_t>& archive,
+                          const std::vector<std::uint8_t>& data )
+{
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = 2;
+    const auto open = [&] {
+        return std::make_unique<Backend>( std::make_unique<MemoryFileReader>( archive ), configuration );
+    };
+    const auto truth = open()->seekPoints();
+    REQUIRE( truth.size() >= 3 );
+
+    constexpr std::size_t LENGTH = 512;
+    const auto readCopy = [] ( Backend& reader, std::size_t offset ) {
+        std::vector<std::uint8_t> bytes( LENGTH );
+        bytes.resize( reader.readAt( offset, bytes.data(), bytes.size() ) );
+        return bytes;
+    };
+    const auto readSpans = [] ( Backend& reader, std::size_t offset ) {
+        std::vector<OwnedSpan> spans;
+        (void)reader.readSpansAt( offset, LENGTH, spans );
+        std::vector<std::uint8_t> bytes;
+        for ( const auto& span : spans ) {
+            bytes.insert( bytes.end(), span.data, span.data + span.size );
+        }
+        return bytes;
+    };
+
+    for ( const auto shift : { -4096L, 4096L } ) {
+        auto points = truth;
+        for ( std::size_t i = 1; i < points.size(); ++i ) {
+            points[i].uncompressedOffset = static_cast<std::size_t>(
+                static_cast<long>( points[i].uncompressedOffset ) + shift );
+        }
+        using Read = std::function<std::vector<std::uint8_t>( Backend&, std::size_t )>;
+        for ( const auto offset : { points[1].uncompressedOffset - LENGTH / 2,
+                                    points.back().uncompressedOffset + LENGTH } ) {
+            const std::vector<std::uint8_t> expected(
+                data.begin() + static_cast<std::ptrdiff_t>( offset ),
+                data.begin() + static_cast<std::ptrdiff_t>( offset + LENGTH ) );
+            for ( const auto& read : { Read( readCopy ), Read( readSpans ) } ) {
+                auto reader = open();
+                REQUIRE( reader->importSeekPoints( points, data.size() ) );
+                if constexpr ( SERIAL_FALLBACK ) {
+                    REQUIRE( read( *reader, offset ) == expected );
+                    REQUIRE( !reader->parallelizable() );
+                } else {
+                    REQUIRE_THROWS_AS( (void)read( *reader, offset ), RapidgzipError );
+                }
+            }
+        }
+    }
+}
+
+void
+testMisstatedSeekPoints()
+{
+    {
+        const auto data = workloads::silesiaLikeData( 2 * MiB, 0x5EC );
+        checkMisstatedSeekPoints<formats::Lz4Decompressor, false>(
+            formats::writeLz4( { data.data(), data.size() }, formats::Lz4Writer::BlockMaxSize::KIB64 ),
+            data );
+    }
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+    {
+        const auto data = workloads::fastqData( 1 * MiB, 0xB2C );
+        checkMisstatedSeekPoints<formats::Bzip2Decompressor, true>(
+            formats::writeBzip2( { data.data(), data.size() }, 1 ), data );
+    }
+#endif
+}
+
 void
 testFrameParallelReaderGrouping()
 {
@@ -393,5 +479,6 @@ main()
     testBzip2Reader();
 #endif
     testFrameParallelReaderGrouping();
+    testMisstatedSeekPoints();
     return rapidgzip::test::finish( "testFormats" );
 }

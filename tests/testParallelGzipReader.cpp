@@ -1,10 +1,12 @@
 /**
  * core layer: ParallelGzipReader must reproduce the serial decoder's output
  * exactly — decompressAll counts, random access reads, index export/import,
- * every prefetch strategy, multi-member streams, and single-chunk files
- * without any flush markers.
+ * prefetch statistics, multi-member streams, and single-chunk files without
+ * any flush markers — and must never serve bytes that fail footer
+ * verification.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -23,13 +25,11 @@ using namespace rapidgzip;
 namespace {
 
 ChunkFetcherConfiguration
-config( std::size_t parallelism, std::size_t chunkSize,
-        ChunkFetcherConfiguration::Strategy strategy = ChunkFetcherConfiguration::Strategy::ADAPTIVE )
+config( std::size_t parallelism, std::size_t chunkSize )
 {
     ChunkFetcherConfiguration result;
     result.parallelism = parallelism;
     result.chunkSizeBytes = chunkSize;
-    result.strategy = strategy;
     return result;
 }
 
@@ -58,12 +58,8 @@ main()
     const auto data = workloads::base64Data( 8 * MiB + 4321, 0xF00D );
     const auto compressed = compressPigzLike( { data.data(), data.size() }, 6, 128 * 1024 );
 
-    /* All strategies, several parallelism/chunk-size combinations. */
-    for ( const auto strategy : { ChunkFetcherConfiguration::Strategy::FIXED,
-                                  ChunkFetcherConfiguration::Strategy::ADAPTIVE,
-                                  ChunkFetcherConfiguration::Strategy::MULTI_STREAM } ) {
-        checkFullRead( data, compressed, config( 4, 256 * 1024, strategy ) );
-    }
+    /* Several parallelism/chunk-size combinations. */
+    checkFullRead( data, compressed, config( 4, 256 * 1024 ) );
     checkFullRead( data, compressed, config( 1, 64 * 1024 ) );
     checkFullRead( data, compressed, config( 8, 4 * MiB ) );
 
@@ -244,8 +240,7 @@ main()
     /* Fetcher statistics: a sequential sweep must mostly hit prefetches. */
     {
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ),
-                                   config( 4, 256 * 1024,
-                                           ChunkFetcherConfiguration::Strategy::FIXED ) );
+                                   config( 4, 256 * 1024 ) );
         REQUIRE( reader.decompressAll() == data.size() );
         const auto& stats = reader.fetcherStatistics();
         REQUIRE( stats.prefetchDispatched > 0 );
@@ -289,6 +284,48 @@ main()
         std::vector<std::uint8_t> reassembled( noise.size() );
         REQUIRE( byteReader.read( reassembled.data(), reassembled.size() ) == noise.size() );
         REQUIRE( reassembled == noise );
+    }
+
+    /* Random access on a full-flush stream is footer-verified too: size
+     * discovery runs the same verified pass as decompressAll(). One flipped
+     * payload bit in a stored block decodes cleanly to one wrong byte; only
+     * the member's CRC32 can catch it. */
+    {
+        const auto noise = workloads::randomData( 4 * MiB, 0xF1A9 );
+        auto flipped = compressPigzLike( { noise.data(), noise.size() }, 6, 256 * KiB );
+        /* Stored blocks hold the input verbatim: find a byte of it past the
+         * middle in the compressed stream. */
+        const auto target = noise.size() * 3 / 4;
+        const auto match = std::search( flipped.begin(), flipped.end(),
+                                        noise.begin() + static_cast<std::ptrdiff_t>( target ),
+                                        noise.begin() + static_cast<std::ptrdiff_t>( target + 64 ) );
+        REQUIRE( match != flipped.end() );
+        *match ^= 0x04U;
+
+        ParallelGzipReader sizeReader( std::make_unique<MemoryFileReader>( flipped ),
+                                       config( 4, 256 * KiB ) );
+        REQUIRE_THROWS_AS( (void)sizeReader.size(), ChecksumError );
+
+        std::vector<std::uint8_t> buffer( 128 * KiB );
+        ParallelGzipReader byteReader( std::make_unique<MemoryFileReader>( flipped ),
+                                       config( 4, 256 * KiB ) );
+        byteReader.seek( target - 1000 );
+        REQUIRE_THROWS_AS( (void)byteReader.read( buffer.data(), buffer.size() ), ChecksumError );
+
+        ParallelGzipReader countReader( std::make_unique<MemoryFileReader>( flipped ),
+                                        config( 4, 256 * KiB ) );
+        REQUIRE_THROWS_AS( (void)countReader.decompressAll(), RapidgzipError );
+
+        /* Without verification the bytes are served as decoded. */
+        ParallelGzipReader unverified( std::make_unique<MemoryFileReader>( flipped ),
+                                       config( 4, 256 * KiB ) );
+        unverified.setVerifyChecksums( false );
+        REQUIRE( unverified.size() == noise.size() );
+        auto expected = noise;
+        expected[target] ^= 0x04U;
+        std::vector<std::uint8_t> reassembled( noise.size() );
+        REQUIRE( unverified.read( reassembled.data(), reassembled.size() ) == noise.size() );
+        REQUIRE( reassembled == expected );
     }
 
     /* setVerifyChecksums(false) still returns the right count. */

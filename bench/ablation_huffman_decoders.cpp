@@ -3,11 +3,13 @@
  * Huffman decoder implementations; their construction/decode trade-off
  * matters because a Dynamic block rebuilds its tables every ~50-100 KiB).
  *
- * Compares the single-level full-length LUT (used by the Deflate decoder)
- * against the two-level zlib-style layout on (a) table construction and
+ * Compares the single-level full-length LUT, the two-level zlib-style
+ * layout (the decoder's bit-exact reference) and the packed libdeflate-style
+ * table the Deflate decoder builds per block, on (a) table construction and
  * (b) raw symbol decoding, for typical and pathological code shapes.
  */
 
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -15,7 +17,7 @@
 #include "common/Util.hpp"
 #include "huffman/HuffmanCoding.hpp"
 #include "huffman/HuffmanCodingDoubleLUT.hpp"
-#include "huffman/HuffmanCodingMultiCached.hpp"
+#include "huffman/PackedDecodeTable.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #include "BenchmarkHelpers.hpp"
@@ -85,59 +87,51 @@ benchmarkCoding(const char* name, const std::vector<std::uint8_t>& lengths,
     std::fflush(stdout);
 }
 
-/** The PR-4 multi-symbol cached LUT, driven with the decoder's
- * guaranteed-bits discipline; counts SYMBOLS (a double-literal entry
- * yields two per lookup). */
+/** The Deflate decoder's packed table (11-bit main table plus subtables),
+ * built and driven the way the decoder does: one histogram-validated build
+ * per code, and guaranteed-bits lookups with no per-symbol EOF check. */
 void
-benchmarkMultiCached(const std::vector<std::uint8_t>& lengths,
-                     const std::vector<std::uint8_t>& bitData, std::size_t repeats)
+benchmarkPacked(const std::vector<std::uint8_t>& lengths,
+                const std::vector<std::uint8_t>& bitData, std::size_t repeats)
 {
+    constexpr unsigned TABLE_BITS = 11;
+    std::vector<std::uint32_t> results(lengths.size());
+    for (std::size_t symbol = 0; symbol < results.size(); ++symbol) {
+        results[symbol] = huffman::makeResult(static_cast<std::uint32_t>(symbol), 0);
+    }
+    std::array<std::uint32_t, 2342> table;  /* zlib's `enough 288 11 15` */
+    const auto build = [&]() {
+        const CodeLengthHistogram histogram({ lengths.data(), lengths.size() });
+        huffman::buildPackedDecodeTable(table.data(), TABLE_BITS, { lengths.data(), lengths.size() },
+                                        results.data(), histogram);
+    };
+
     constexpr std::size_t CONSTRUCTIONS = 2000;
     Stopwatch constructionStopwatch;
     for (std::size_t i = 0; i < CONSTRUCTIONS; ++i) {
-        HuffmanCodingMultiCached coding;
-        (void)coding.initializeFromLengths({ lengths.data(), lengths.size() });
+        build();
     }
     const auto constructionsPerSecond =
         static_cast<double>(CONSTRUCTIONS) / constructionStopwatch.elapsed();
 
-    HuffmanCodingMultiCached coding;
-    (void)coding.initializeFromLengths({ lengths.data(), lengths.size() });
-    volatile int sink = 0;
+    build();
+    volatile std::uint32_t sink = 0;
     double symbolsPerSecond = 0;
     for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
         BitReader reader(bitData.data(), bitData.size());
         std::size_t symbols = 0;
-        int accumulator = 0;
-        bool done = false;
+        std::uint32_t accumulator = 0;
         Stopwatch decodeStopwatch;
-        while (!done && reader.ensureBits(BitReader::MAX_ENSURE_BITS)) {
-            const auto& entry = coding.lookup(reader.peekUnsafe(coding.cacheBits()));
-            reader.consumeUnsafe(entry.bitsConsumed);
-            switch (entry.kind()) {
-            case HuffmanCodingMultiCached::LITERALS:
-                accumulator += entry.payload;
-                symbols += entry.count();
-                break;
-            case HuffmanCodingMultiCached::LENGTH:
-                accumulator += static_cast<int>(entry.payload
-                                                + reader.readUnsafe(entry.extraBits()));
-                ++symbols;
-                break;
-            case HuffmanCodingMultiCached::END_OF_BLOCK:
-                ++symbols;
-                break;
-            default: {
-                const auto symbol = coding.fallback().decodeUnsafe(reader);
-                if (symbol < 0) {
-                    done = true;
-                    break;
-                }
-                accumulator += symbol;
-                ++symbols;
-                break;
+        while (reader.ensureBits(CodeLengthHistogram::MAX_CODE_LENGTH)) {
+            auto entry = table[reader.peekUnsafe(TABLE_BITS)];
+            if ((entry & huffman::ENTRY_SUBTABLE) != 0) {
+                reader.consumeUnsafe(TABLE_BITS);
+                entry = table[huffman::subtableIndex(entry, reader.peekUnsafe(
+                    CodeLengthHistogram::MAX_CODE_LENGTH - TABLE_BITS))];
             }
-            }
+            reader.consumeUnsafe(huffman::codewordLength(entry));
+            accumulator += entry >> 16U;
+            ++symbols;
         }
         sink = sink + accumulator;
         symbolsPerSecond = std::max(symbolsPerSecond,
@@ -145,7 +139,7 @@ benchmarkMultiCached(const std::vector<std::uint8_t>& lengths,
     }
 
     std::printf("    %-24s %10.0f tables/s %12.1f Msymbols/s\n",
-                "multi-symbol cached LUT", constructionsPerSecond, symbolsPerSecond / 1e6);
+                "packed (decoder) table", constructionsPerSecond, symbolsPerSecond / 1e6);
     std::fflush(stdout);
 }
 
@@ -177,15 +171,15 @@ main()
         std::printf("  %s:\n", shape.name);
         benchmarkCoding<HuffmanCoding>("single-level LUT", lengths, bitData, repeats);
         benchmarkCoding<HuffmanCodingDoubleLUT>("two-level LUT", lengths, bitData, repeats);
-        benchmarkMultiCached(lengths, bitData, repeats);
+        benchmarkPacked(lengths, bitData, repeats);
     }
 
     std::printf("\n  Expected shape: the two-level layout constructs much faster for\n"
                 "  long-code shapes (less table fill) and decodes slightly slower\n"
                 "  (extra indirection) — why production decoders pick it, and why a\n"
                 "  single-level table is fine for the finder's short-lived precodes.\n"
-                "  The multi-symbol cached LUT (PR 4) must lead on SYMBOL throughput\n"
-                "  for literal-heavy shapes — one lookup often resolves two symbols —\n"
-                "  at a construction cost between the other two layouts.\n");
+                "  The packed table the Deflate decoder uses must build faster than\n"
+                "  both (no heap allocation, no zero-fill, memcpy doubling) and decode\n"
+                "  about as fast as the single-level LUT.\n");
     return 0;
 }

@@ -81,13 +81,10 @@ main()
         printRow("DBF zlib", measureFinder<blockfinder::DynamicBlockFinderZlib>(tiny, repeats),
                  "0.1234 MB/s");
     }
-    /* Explicitly the SHIPPED decoder path (ROADMAP 4d): each candidate parse
-     * builds the multi-cached Huffman LUTs the real decoder uses, not the
-     * cheap validity-only tables — the row must price what production pays. */
+    /* Each candidate parse builds the packed tables the real decoder uses:
+     * the row prices what production pays. */
     printRow("DBF custom deflate",
-             measureFinder<blockfinder::DynamicBlockFinderNaive>(
-                 small, repeats,
-                 blockfinder::DynamicBlockFinderNaive(/* buildCachedTables */ true)),
+             measureFinder<blockfinder::DynamicBlockFinderNaive>(small, repeats),
              "3.403 MB/s");
     printRow("DBF skip-LUT (~pugz finder)",
              measureFinder<blockfinder::DynamicBlockFinderSkipLUT>(medium, repeats),

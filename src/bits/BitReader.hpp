@@ -45,9 +45,9 @@ namespace rapidgzip {
  * touch ONLY the refill buffer — no bounds check, no refill, no memory
  * access — so an inner loop can pay for one refill and then decode several
  * Huffman symbols plus their extra bits from registers. Consuming more bits
- * than guaranteed is undefined behavior; the Deflate decoder enforces the
- * budget by entering its fast loop only while a whole worst-case
- * literal/length + distance group (48 bits) is guaranteed.
+ * than guaranteed is undefined behavior. Decode loops that track their own
+ * bit budget use RegisterCursor::refillBranchless() instead (see the
+ * Deflate decoder's fast loop).
  */
 class BitReader
 {
@@ -371,6 +371,37 @@ public:
             const auto result = peekUnsafe( bitCount );
             consumeUnsafe( bitCount );
             return result;
+        }
+
+        /** True while @p byteCount input bytes lie at and after the refill
+         * position — refillBranchless() needs 8. */
+        [[nodiscard]] bool
+        hasBytesAhead( std::size_t byteCount ) const noexcept
+        {
+            return m_byteOffset + byteCount <= m_sizeInBytes;
+        }
+
+        /**
+         * libdeflate's branch-free refill for decode loops: one unaligned
+         * 8-byte load ORed in above the buffered bits, the whole bytes it
+         * completes absorbed, and the count set to 56 + bufferedBits % 8 —
+         * so at least 56 bits are guaranteed afterwards, with no branch on
+         * the fill level. The loaded bits above the count are real stream
+         * bits, as after refill(). Requires hasBytesAhead( 8 ) and fewer
+         * than 64 buffered bits.
+         */
+        void
+        refillBranchless() noexcept
+        {
+            RAPIDGZIP_ASSUME( m_bufferBits < 64U );
+            std::uint64_t word;
+            std::memcpy( &word, m_data + m_byteOffset, sizeof( word ) );
+        #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__ )
+            word = __builtin_bswap64( word );
+        #endif
+            m_buffer |= word << m_bufferBits;
+            m_byteOffset += 7U - ( ( m_bufferBits >> 3U ) & 7U );
+            m_bufferBits |= 56U;
         }
 
     private:

@@ -16,20 +16,12 @@ namespace rapidgzip::blockfinder {
  * tables — at every bit offset. It is the acceptance ground truth the
  * cheaper finders are measured against (and tested against for false
  * negatives); its cost is what the rapid finder's cascaded filters avoid.
+ * Each accepted candidate builds the decoder's own packed tables, so the
+ * cost is what a naive finder feeding the real decoder would pay.
  */
 class DynamicBlockFinderNaive
 {
 public:
-    /** @p buildCachedTables selects which Huffman tables each candidate
-     * parse constructs: false (default) builds the cheap validity-only
-     * two-level tables — the ground-truth configuration the equivalence
-     * tests use — while true builds the decoder's SHIPPED multi-cached LUTs,
-     * which is what a naive finder that feeds a real decoder would pay
-     * (bench/table2_components measures this configuration). */
-    explicit DynamicBlockFinderNaive( bool buildCachedTables = false ) noexcept :
-        m_buildCachedTables( buildCachedTables )
-    {}
-
     [[nodiscard]] std::size_t
     find( BufferView data, std::size_t fromBit ) const
     {
@@ -47,15 +39,12 @@ public:
                 continue;
             }
             reader.skip( 3 );
-            if ( readDynamicCodings( reader, codings, m_buildCachedTables ) == Error::NONE ) {
+            if ( readDynamicCodings( reader, codings ) == Error::NONE ) {
                 return offset;
             }
         }
         return NOT_FOUND;
     }
-
-private:
-    bool m_buildCachedTables{ false };
 };
 
 }  // namespace rapidgzip::blockfinder

@@ -44,7 +44,7 @@ public:
                 continue;
             }
             reader.skip( 3 );
-            if ( deflate::readDynamicCodings( reader, codings, /* buildCachedTables */ false ) == Error::NONE ) {
+            if ( deflate::readDynamicCodings( reader, codings ) == Error::NONE ) {
                 return offset;
             }
             ++offset;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "../bits/BitReader.hpp"
@@ -40,12 +41,13 @@ struct FixedCodings
         }
         std::array<std::uint8_t, 32> distanceLengths{};
         distanceLengths.fill( 5 );
-        /* Both are complete by construction; failure is impossible. */
-        (void)codings.literal.initializeFromLengths( { literalLengths.data(),
-                                                       literalLengths.size() } );
-        (void)codings.distance.initializeFromLengths( { distanceLengths.data(),
-                                                        distanceLengths.size() } );
-        codings.distanceUsable = true;
+        /* Both codes are complete by construction, so building cannot fail.
+         * Both table sets: the reference loop decodes Fixed blocks too. */
+        for ( const bool referenceTables : { false, true } ) {
+            (void)buildCodings( codings, { literalLengths.data(), literalLengths.size() },
+                                { distanceLengths.data(), distanceLengths.size() },
+                                referenceTables );
+        }
     }
 
     DynamicHuffmanCodings codings;
@@ -186,7 +188,7 @@ public:
                 /* The reference path builds only the two-level tables — the
                  * exact pre-optimization construction cost — so before/after
                  * benchmarks compare true end-to-end costs. */
-                result.error = readDynamicCodings( reader, m_codings, !m_referenceDecoding );
+                result.error = readDynamicCodings( reader, m_codings, m_referenceDecoding );
                 if ( result.error == Error::NONE ) {
                     result.error = decodeHuffmanBlock( reader, data, m_codings );
                 }
@@ -224,8 +226,7 @@ public:
     }
 
 private:
-    static constexpr std::size_t NO_MARKER = std::numeric_limits<std::size_t>::max();
-
+    /** Stored block: LEN bytes copied in bulk straight from the input. */
     [[nodiscard]] Error
     decodeStoredBlock( BitReader& reader, DecodedData& data )
     {
@@ -233,7 +234,7 @@ private:
         if ( reader.bitsLeft() < 32 ) {
             return Error::TRUNCATED_STREAM;
         }
-        const auto length = reader.read( 16 );
+        const auto length = static_cast<std::size_t>( reader.read( 16 ) );
         const auto complement = reader.read( 16 );
         if ( ( length ^ complement ) != 0xFFFFU ) {
             return Error::INVALID_STORED_LENGTH;
@@ -241,25 +242,28 @@ private:
         if ( reader.bitsLeft() < length * 8 ) {
             return Error::TRUNCATED_STREAM;
         }
-        for ( std::uint64_t i = 0; i < length; ++i ) {
-            emitLiteral( data, static_cast<std::uint8_t>( reader.read( 8 ) ) );
-            if ( m_totalDecoded >= m_hardByteLimit ) {
-                return Error::EXCEEDED_OUTPUT_LIMIT;
-            }
+        /* Same output as emitting byte by byte and stopping at the first
+         * byte that reaches the hard limit. */
+        auto count = length;
+        const auto exceeded = ( length > 0 ) && ( m_totalDecoded + length >= m_hardByteLimit );
+        if ( exceeded ) {
+            count = m_totalDecoded >= m_hardByteLimit ? 1 : m_hardByteLimit - m_totalDecoded;
         }
-        return Error::NONE;
+        const auto* const source = reader.data() + reader.tell() / 8U;
+        if ( m_plainMode ) {
+            auto& out = data.plain.back().data;
+            out.resize( out.size() + count );
+            std::memcpy( out.data() + out.size() - count, source, count );
+        } else {
+            auto& out = data.marked;
+            out.resize( out.size() + count );
+            std::copy( source, source + count, out.data() + out.size() - count );
+        }
+        reader.seek( reader.tell() + count * 8U );
+        m_totalDecoded += count;
+        return exceeded ? Error::EXCEEDED_OUTPUT_LIMIT : Error::NONE;
     }
 
-    /**
-     * The literal/length + distance symbol loop — where paper Table 2 puts
-     * most of the decode time. The fast path amortizes BitReader refills
-     * (one ensureBits() per iteration covers a worst-case 48-bit
-     * literal/length + distance group) and emits through the multi-symbol
-     * cached LUT with unchecked buffer appends; near the end of input it
-     * hands off to the checked reference loop, which owns the EOF
-     * semantics, so behavior at stream boundaries is identical by
-     * construction.
-     */
     [[nodiscard]] Error
     decodeHuffmanBlock( BitReader& reader,
                         DecodedData& data,
@@ -269,9 +273,9 @@ private:
             return decodeHuffmanBlockReference( reader, data, codings );
         }
         if ( m_plainMode ) {
-            return decodeHuffmanBlockFast<PlainFastSink>( reader, data, codings );
+            return decodeHuffmanBlockFast( reader, data.plain.back().data, codings );
         }
-        return decodeHuffmanBlockFast<MarkedFastSink>( reader, data, codings );
+        return decodeHuffmanBlockFast( reader, data.marked, codings );
     }
 
     [[nodiscard]] Error
@@ -333,398 +337,436 @@ private:
     }
 
     /**
-     * Append sink over a plain (8-bit) segment: the vector is grown in
-     * geometric slabs and writes go through a raw cursor — no per-byte
-     * size/capacity check — with the logical size restored on every exit
-     * path by the destructor. LZ77 copies take the seeded window first,
-     * then a contiguous memcpy when source and destination cannot overlap
-     * (distance >= remaining length), else byte-wise replication.
+     * Raw-cursor view of one output vector (the plain segment or the 16-bit
+     * marker buffer): the vector is stretched to its capacity — bookkeeping
+     * only, FastVector does not initialize — so emission is plain pointer
+     * stores, and the logical size is restored on every exit path.
      */
-    class PlainFastSink
+    template<typename Symbol>
+    class OutputBuffer
     {
     public:
-        PlainFastSink( Decoder& decoder, DecodedData& data ) :
-            m_decoder( decoder ),
-            m_out( data.plain.back().data ),
-            m_cursor( m_out.size() )
+        explicit OutputBuffer( FastVector<Symbol>& vector ) :
+            m_vector( vector ),
+            m_size( vector.size() )
         {
-            /* Jump straight to the existing capacity — pure bookkeeping
-             * thanks to FastVector's default-init resize — so ensure()
-             * almost never resizes mid-decode; the raw data pointer is
-             * cached so emission never re-reads the vector object. */
-            if ( m_out.capacity() > m_out.size() ) {
-                m_out.resize( m_out.capacity() );
+            m_vector.resize( m_vector.capacity() );
+        }
+
+        ~OutputBuffer()
+        {
+            m_vector.resize( m_size );
+        }
+
+        OutputBuffer( const OutputBuffer& ) = delete;
+        OutputBuffer& operator=( const OutputBuffer& ) = delete;
+
+        /** Make room for @p count symbols past the cursor. */
+        void
+        reserve( std::size_t count )
+        {
+            if ( m_vector.size() - m_size < count ) {
+                m_vector.resize( std::max( m_vector.size() + m_vector.size() / 2,
+                                           m_size + count + GROWTH_SLACK ) );
             }
-            m_data = m_out.data();
         }
 
-        ~PlainFastSink()
-        {
-            m_out.resize( m_cursor );
-        }
-
-        PlainFastSink( const PlainFastSink& ) = delete;
-        PlainFastSink& operator=( const PlainFastSink& ) = delete;
+        [[nodiscard]] Symbol* begin() noexcept { return m_vector.data(); }
+        [[nodiscard]] Symbol* end() noexcept { return m_vector.data() + m_vector.size(); }
+        [[nodiscard]] Symbol* cursor() noexcept { return m_vector.data() + m_size; }
 
         void
-        ensure( std::size_t need )
+        setCursor( Symbol* cursor ) noexcept
         {
-            if ( m_cursor + need > m_out.size() ) {
-                m_out.resize( std::max( m_out.size() + m_out.size() / 2,
-                                        m_cursor + need + GROWTH_SLACK ) );
-                m_data = m_out.data();
-            }
-        }
-
-        /** Branchless 1-or-2-literal emit: both payload bytes are written
-         * unconditionally (space is ensured), the cursor advances by
-         * @p count — no single-vs-double branch on the hottest path. */
-        void
-        pushPair( std::uint16_t payload, unsigned count ) noexcept
-        {
-    #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ )
-            /* One 2-byte store covers both literals; cursor advances by the
-             * real count (the second byte is garbage for count 1 and gets
-             * overwritten). */
-            std::memcpy( m_data + m_cursor, &payload, sizeof( payload ) );
-    #else
-            m_data[m_cursor] = static_cast<std::uint8_t>( payload );
-            m_data[m_cursor + 1] = static_cast<std::uint8_t>( payload >> 8U );
-    #endif
-            m_cursor += count;
-        }
-
-        [[nodiscard]] Error
-        copyMatch( std::size_t length, std::size_t distance ) noexcept
-        {
-            const auto start = m_cursor;
-            if ( distance > start + m_decoder.m_windowSize ) {
-                return Error::EXCEEDED_WINDOW;
-            }
-            auto* const out = m_data;
-            std::size_t remaining = length;
-            if ( distance > start ) {
-                const auto fromWindow = std::min( length, distance - start );
-                const auto* const source = m_decoder.m_window.data()
-                                           + m_decoder.m_windowSize - ( distance - start );
-                std::memcpy( out + m_cursor, source, fromWindow );
-                m_cursor += fromWindow;
-                remaining -= fromWindow;
-            }
-            if ( remaining > 0 ) {
-                auto* const destination = out + m_cursor;
-                const auto* const source = destination - distance;
-                if ( distance >= WILDCOPY_CHUNK ) {
-                    /* Chunked wildcopy: each 8-byte block reads bytes
-                     * finalized by earlier blocks (distance >= chunk), so
-                     * any overlap replicates correctly; it may write up to
-                     * 7 bytes past the match end, headroom that
-                     * FAST_LOOP_EMIT_SLACK reserves. Turns the dominant
-                     * short-match copy into 1-2 load/store pairs instead of
-                     * a variable-length memcpy call. */
-                    std::size_t copied = 0;
-                    do {
-                        std::memcpy( destination + copied, source + copied, WILDCOPY_CHUNK );
-                        copied += WILDCOPY_CHUNK;
-                    } while ( copied < remaining );
-                    m_cursor += remaining;
-                } else {
-                    for ( ; remaining > 0; --remaining, ++m_cursor ) {
-                        out[m_cursor] = out[m_cursor - distance];
-                    }
-                }
-            }
-            return Error::NONE;
+            m_size = static_cast<std::size_t>( cursor - m_vector.data() );
         }
 
     private:
-        Decoder& m_decoder;
-        FastVector<std::uint8_t>& m_out;
-        std::uint8_t* m_data{ nullptr };
-        std::size_t m_cursor;
+        FastVector<Symbol>& m_vector;
+        std::size_t m_size;
     };
 
-    /**
-     * Append sink over the 16-bit marker buffer. Matches inside the buffer
-     * are bulk-copied whether or not their source holds markers (the
-     * chunked wildcopy for distance >= 8): copied markers propagate
-     * verbatim, and when the source may hold one (the last marker lies
-     * inside the source range) a backward scan of the copied symbols moves
-     * the marker clock. Matches that reach into the unknown window create
-     * markers and keep the exact per-symbol semantics of the reference path.
-     */
-    class MarkedFastSink
-    {
-    public:
-        MarkedFastSink( Decoder& decoder, DecodedData& data ) :
-            m_decoder( decoder ),
-            m_out( data.marked ),
-            m_cursor( m_out.size() ),
-            /* Mirrored locally for the same aliasing reason as the cursor:
-             * copyMatch consults it per match and byte stores would force a
-             * reload through the decoder reference every time. */
-            m_lastMarker( decoder.m_lastMarkerPosition )
-        {
-            if ( m_out.capacity() > m_out.size() ) {
-                m_out.resize( m_out.capacity() );
-            }
-            m_data = m_out.data();
-        }
-
-        ~MarkedFastSink()
-        {
-            m_out.resize( m_cursor );
-            m_decoder.m_lastMarkerPosition = m_lastMarker;
-        }
-
-        MarkedFastSink( const MarkedFastSink& ) = delete;
-        MarkedFastSink& operator=( const MarkedFastSink& ) = delete;
-
-        void
-        ensure( std::size_t need )
-        {
-            if ( m_cursor + need > m_out.size() ) {
-                m_out.resize( std::max( m_out.size() + m_out.size() / 2,
-                                        m_cursor + need + GROWTH_SLACK ) );
-                m_data = m_out.data();
-            }
-        }
-
-        void
-        pushPair( std::uint16_t payload, unsigned count ) noexcept
-        {
-            auto* const out = m_data + m_cursor;
-            out[0] = static_cast<std::uint16_t>( payload & 0xFFU );
-            out[1] = static_cast<std::uint16_t>( payload >> 8U );
-            m_cursor += count;
-        }
-
-        [[nodiscard]] Error
-        copyMatch( std::size_t length, std::size_t distance ) noexcept
-        {
-            auto* const out = m_data;
-            const auto start = m_cursor;
-            if ( distance <= start ) {
-                const auto sourceBegin = start - distance;
-                if ( distance >= WILDCOPY_CHUNK ) {
-                    /* Same chunked wildcopy as the plain sink, in 8-symbol
-                     * blocks; overlap-safe for distance >= chunk, overshoot
-                     * covered by the emit slack. */
-                    auto* const destination = out + m_cursor;
-                    const auto* const source = out + sourceBegin;
-                    std::size_t copied = 0;
-                    do {
-                        std::memcpy( destination + copied, source + copied,
-                                     WILDCOPY_CHUNK * sizeof( std::uint16_t ) );
-                        copied += WILDCOPY_CHUNK;
-                    } while ( copied < length );
-                    m_cursor += length;
-                } else {
-                    for ( std::size_t i = 0; i < length; ++i, ++m_cursor ) {
-                        out[m_cursor] = out[m_cursor - distance];
-                    }
-                }
-                /* Copied markers propagate verbatim; the marker clock only
-                 * has to end on the last one written, found scanning
-                 * backwards — and only when the source may hold one. */
-                if ( ( m_lastMarker != NO_MARKER ) && ( m_lastMarker >= sourceBegin ) ) {
-                    for ( auto position = m_cursor; position > start; ) {
-                        if ( out[--position] >= MARKER_BASE ) {
-                            m_lastMarker = position;
-                            break;
-                        }
-                    }
-                }
-                return Error::NONE;
-            }
-            /* distance <= 32768 and position >= 0 bound the marker offset. */
-            for ( std::size_t i = 0; i < length; ++i ) {
-                const auto position = m_cursor;
-                std::uint16_t symbol;
-                if ( distance <= position ) {
-                    symbol = out[position - distance];
-                } else {
-                    symbol = static_cast<std::uint16_t>(
-                        MARKER_BASE + ( WINDOW_SIZE - ( distance - position ) ) );
-                }
-                if ( symbol >= MARKER_BASE ) {
-                    m_lastMarker = position;
-                }
-                out[m_cursor++] = symbol;
-            }
-            return Error::NONE;
-        }
-
-    private:
-        Decoder& m_decoder;
-        FastVector<std::uint16_t>& m_out;
-        std::uint16_t* m_data{ nullptr };
-        std::size_t m_cursor;
-        std::size_t m_lastMarker;
-    };
-
-    /** Slab growth floor for the fast sinks; pooled buffers reach their
+    /** Slab growth floor for the output buffers; pooled buffers reach their
      * steady-state capacity after the first chunk, making this moot. */
     static constexpr std::size_t GROWTH_SLACK = 64 * 1024;
 
-    /** Worst-case stream bits one fast-loop iteration may consume: a 15-bit
-     * literal/length code + 5 extra bits + a 15-bit distance code + 13
-     * extra bits. One ensureBits() per iteration covers the whole group. */
-    static constexpr unsigned FAST_LOOP_GUARANTEED_BITS = 48;
+    /** Input bytes the fast loop needs ahead of the refill position at the
+     * top of an iteration: at most two branch-free refills, each reading 8
+     * bytes and advancing at most 7. */
+    static constexpr std::size_t FAST_INPUT_MARGIN = 16;
 
-    /** 8-element blocks for the overlap-safe chunked match copy. */
-    static constexpr std::size_t WILDCOPY_CHUNK = 8;
+    /** Match copies move words of 8 symbols (8 bytes plain, 16 bytes in
+     * marker mode): 5 unconditional ones cover most matches, longer ones
+     * continue word by word. */
+    static constexpr std::size_t COPY_WORD_SYMBOLS = 8;
 
-    /** Worst-case elements emitted between two sink.ensure() calls: the
-     * inner literal chew emits at most 2 bytes per >= 1 consumed bit of the
-     * 48-bit guarantee, plus one maximum-length match including the
-     * wildcopy overshoot. */
-    static constexpr std::size_t FAST_LOOP_EMIT_SLACK =
-        MAX_MATCH_LENGTH + WILDCOPY_CHUNK + 2 * FAST_LOOP_GUARANTEED_BITS;
+    /** Output symbols one fast-loop iteration may write past its start: two
+     * literals, then a maximum match whose last word overshoots (or 5
+     * unconditional words for a short one). */
+    static constexpr std::size_t FAST_OUTPUT_SLACK = 2 + MAX_MATCH_LENGTH + 5 * COPY_WORD_SYMBOLS;
 
-    template<typename Sink>
+    /** Most bits a distance costs: a 15-bit code plus 13 extra bits. */
+    static constexpr unsigned DISTANCE_MAX_BITS = 15 + 13;
+
+    /**
+     * One Huffman block in either output mode — where paper Table 2 puts
+     * most of the decode time. The fast loop runs while the output buffer
+     * has FAST_OUTPUT_SLACK room below the hard byte limit and the input
+     * allows branch-free refills; near the end of the input the checked
+     * tail loop finishes the block on the same tables with the reference
+     * loop's end-of-input semantics.
+     */
+    template<typename Symbol>
     [[nodiscard]] Error
     decodeHuffmanBlockFast( BitReader& reader,
-                            DecodedData& data,
+                            FastVector<Symbol>& vector,
                             const DynamicHuffmanCodings& codings )
     {
-        static_assert( FAST_LOOP_GUARANTEED_BITS <= BitReader::MAX_ENSURE_BITS );
-        const auto& literal = codings.literal;
-        /* Hoist every loop invariant into locals: output stores are byte
-         * stores that alias all class members, so anything not local would
-         * be reloaded from memory on every iteration. The RegisterCursor
-         * does the same for the BitReader's state and syncs back on scope
-         * exit; m_totalDecoded is mirrored in `produced`. */
-        constexpr auto cacheBits = HuffmanCodingMultiCached::CACHE_BITS;
-        constexpr auto cacheMask = ( std::uint64_t( 1 ) << cacheBits ) - 1U;
-        const auto* const multiTable = literal.tableData();
-        constexpr auto distanceMask =
-            ( std::uint64_t( 1 ) << HuffmanCodingDistanceCached::CACHE_BITS ) - 1U;
-        const auto* const distanceTable = codings.distance.tableData();
-        const auto hardByteLimit = m_hardByteLimit;
-        auto produced = m_totalDecoded;
-        auto result = Error::NONE;
-        bool blockDone = false;
-        {
-            Sink sink( *this, data );
-            BitReader::RegisterCursor cursor( reader );
-            while ( true ) {
-                if ( !cursor.ensureBits( FAST_LOOP_GUARANTEED_BITS ) ) {
-                    break;  /* near EOF: the checked reference loop finishes the block */
-                }
-                if ( produced >= hardByteLimit ) {
-                    result = Error::EXCEEDED_OUTPUT_LIMIT;
-                    blockDone = true;
-                    break;
-                }
-                sink.ensure( FAST_LOOP_EMIT_SLACK );
-
-                /* Chew literal entries straight from the refill buffer: each
-                 * costs one peek + one table hit + two stores, deferring the
-                 * refill until the buffered bits run short of one more
-                 * lookup. A non-literal entry is handled below under the
-                 * full 48-bit guarantee — when the buffer no longer
-                 * guarantees that, fall back to the outer loop WITHOUT
-                 * consuming; the same entry is re-peeked after the refill. */
-                const HuffmanCodingMultiCached::Entry* entry = nullptr;
-                while ( true ) {
-                    const auto& candidate = multiTable[cursor.peekBufferUnsafe() & cacheMask];
-                    if ( candidate.kind() == HuffmanCodingMultiCached::LITERALS ) {
-                        cursor.consumeUnsafe( candidate.bitsConsumed );
-                        const auto count = candidate.count();
-                        sink.pushPair( candidate.payload, count );
-                        produced += count;
-                        if ( cursor.bufferedBits() >= cacheBits ) {
-                            continue;
-                        }
-                        break;  /* refill, limit-check, and come back */
-                    }
-                    if ( cursor.bufferedBits() >= FAST_LOOP_GUARANTEED_BITS ) {
-                        entry = &candidate;
-                    }
-                    break;
-                }
-                if ( entry == nullptr ) {
-                    continue;
-                }
-
-                cursor.consumeUnsafe( entry->bitsConsumed );  /* 0 for FALLBACK */
-                std::size_t length = 0;
-                const auto kind = entry->kind();
-                if ( kind == HuffmanCodingMultiCached::LENGTH ) {
-                    length = entry->payload + cursor.readUnsafe( entry->extraBits() );
-                } else if ( kind == HuffmanCodingMultiCached::END_OF_BLOCK ) {
-                    blockDone = true;
-                    break;
-                } else {
-                    /* FALLBACK: code longer than the cache window (or the
-                     * invalid symbols 286/287) — the two-level LUT resolves
-                     * it under the >= 48-bit guarantee. */
-                    const auto symbol = literal.fallback().decodeUnsafe( cursor );
-                    if ( symbol < 0 ) {
-                        result = Error::INVALID_SYMBOL;
-                        blockDone = true;
-                        break;
-                    }
-                    if ( symbol < static_cast<int>( END_OF_BLOCK ) ) {
-                        sink.pushPair( static_cast<std::uint16_t>( symbol ), 1 );
-                        ++produced;
-                        continue;
-                    }
-                    if ( symbol == static_cast<int>( END_OF_BLOCK ) ) {
-                        blockDone = true;
-                        break;
-                    }
-                    if ( symbol > 285 ) {
-                        result = Error::INVALID_SYMBOL;
-                        blockDone = true;
-                        break;
-                    }
-                    const auto lengthIndex = static_cast<std::size_t>( symbol - 257 );
-                    length = LENGTH_BASE[lengthIndex]
-                             + cursor.readUnsafe( LENGTH_EXTRA_BITS[lengthIndex] );
-                }
-
-                if ( !codings.distanceUsable ) {
-                    result = Error::INVALID_DISTANCE;
-                    blockDone = true;
-                    break;
-                }
-                /* One table hit resolves code AND (usually) the extra bits;
-                 * extraBits() is 0 when folded, so the hot path is
-                 * branch-free between the folded and unfolded cases. */
-                std::size_t distance = 0;
-                const auto& distanceEntry =
-                    distanceTable[cursor.peekBufferUnsafe() & distanceMask];
-                if ( distanceEntry.bitsConsumed != 0 ) {
-                    cursor.consumeUnsafe( distanceEntry.bitsConsumed );
-                    distance = distanceEntry.payload
-                               + cursor.readUnsafe( distanceEntry.extraBits() );
-                } else {
-                    const auto distanceSymbol = codings.distance.fallback().decodeUnsafe( cursor );
-                    if ( ( distanceSymbol < 0 ) || ( distanceSymbol > 29 ) ) {
-                        result = Error::INVALID_DISTANCE;
-                        blockDone = true;
-                        break;
-                    }
-                    distance = DISTANCE_BASE[distanceSymbol]
-                               + cursor.readUnsafe( DISTANCE_EXTRA_BITS[distanceSymbol] );
-                }
-
-                const auto error = sink.copyMatch( length, distance );
-                if ( error != Error::NONE ) {
-                    result = error;
-                    blockDone = true;
-                    break;
-                }
-                produced += length;
+        OutputBuffer<Symbol> output( vector );
+        while ( true ) {
+            /* Twice the slack, so a fast run always has room to start. */
+            output.reserve( 2 * FAST_OUTPUT_SLACK );
+            auto* const start = output.cursor();
+            auto* out = start;
+            auto* fastEnd = output.end() - FAST_OUTPUT_SLACK;
+            const auto limitLeft = m_hardByteLimit - m_totalDecoded;  /* > 0 here */
+            if ( static_cast<std::size_t>( fastEnd - out ) > limitLeft ) {
+                fastEnd = out + limitLeft;
+            }
+            bool blockDone = false;
+            const auto error = decodeFast( reader, codings, output.begin(), out, fastEnd,
+                                           blockDone );
+            output.setCursor( out );
+            m_totalDecoded += static_cast<std::size_t>( out - start );
+            if ( blockDone ) {
+                return error;
+            }
+            if ( m_totalDecoded >= m_hardByteLimit ) {
+                return Error::EXCEEDED_OUTPUT_LIMIT;
+            }
+            if ( out < fastEnd ) {
+                return decodeTail( reader, codings, output );  /* input near its end */
             }
         }
-        m_totalDecoded = produced;
-        if ( blockDone ) {
-            return result;
+    }
+
+    /**
+     * The libdeflate-style fast loop. Every iteration starts with >= 56
+     * buffered bits and the next literal/length entry already loaded; the
+     * worst case consumed before the distance (two literals, a length via a
+     * subtable: 11 + 11 + 11 + 4 + 5 = 42 bits) leaves room for the 8-bit
+     * distance peek, one refill covers the distance (28 bits) plus the
+     * preload of the next entry, and a second refill follows that preload,
+     * overlapping the match copy. Up to three literals share one refill.
+     * Length and distance extra bits are taken from the bit buffer saved
+     * before their entry was consumed. Stops at the end of the block or on
+     * an error (@p blockDone), or once @p out reaches @p fastEnd or the
+     * input gets too short for branch-free refills.
+     */
+    template<typename Symbol>
+    [[nodiscard]] Error
+    decodeFast( BitReader& reader,
+                const DynamicHuffmanCodings& codings,
+                Symbol* const begin,
+                Symbol*& outRef,
+                Symbol* const fastEnd,
+                bool& blockDone )
+    {
+        constexpr std::uint64_t LITERAL_MASK = ( 1U << LITERAL_TABLE_BITS ) - 1U;
+        constexpr std::uint64_t DISTANCE_MASK = ( 1U << DISTANCE_TABLE_BITS ) - 1U;
+        using namespace huffman;
+
+        BitReader::RegisterCursor bits( reader );
+        if ( ( outRef >= fastEnd ) || !bits.hasBytesAhead( FAST_INPUT_MARGIN ) ) {
+            return Error::NONE;
         }
-        return decodeHuffmanBlockReference( reader, data, codings );
+        /* Locals only: output stores may alias any member. */
+        const auto* const literalTable = codings.literalTable.data();
+        const auto* const distanceTable = codings.distanceTable.data();
+        auto* out = outRef;
+        const auto pushLiteral = [&out] ( std::uint32_t entry ) {
+            *out++ = static_cast<Symbol>( static_cast<std::uint8_t>( entry >> 16U ) );
+        };
+
+        auto error = Error::NONE;
+        if ( bits.bufferedBits() < 56 ) {
+            bits.refillBranchless();
+        }
+        auto entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+        do {
+            auto saved = bits.peekBufferUnsafe();
+            bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+            if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+                auto literal = entry;
+                entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+                saved = bits.peekBufferUnsafe();
+                bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+                pushLiteral( literal );
+                if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+                    literal = entry;
+                    entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+                    saved = bits.peekBufferUnsafe();
+                    bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+                    pushLiteral( literal );
+                    if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+                        literal = entry;
+                        entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+                        bits.refillBranchless();
+                        pushLiteral( literal );
+                        continue;
+                    }
+                }
+            }
+
+            if ( __builtin_expect( ( entry & ENTRY_EXCEPTIONAL ) != 0, 0 ) ) {
+                if ( ( entry & ENTRY_SUBTABLE ) != 0 ) {
+                    entry = literalTable[subtableIndex( entry, bits.peekBufferUnsafe() )];
+                    saved = bits.peekBufferUnsafe();
+                    bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+                    if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+                        const auto literal = entry;
+                        entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+                        bits.refillBranchless();
+                        pushLiteral( literal );
+                        continue;
+                    }
+                }
+                if ( ( entry & ENTRY_EXCEPTIONAL ) != 0 ) {
+                    /* End of block, or an invalid symbol (286/287). */
+                    error = ( entry & ENTRY_END_OF_BLOCK ) != 0 ? Error::NONE
+                                                                : Error::INVALID_SYMBOL;
+                    blockDone = true;
+                    break;
+                }
+            }
+
+            const auto length = ( entry >> 16U ) + extraBitsValue( saved, entry );
+            entry = distanceTable[bits.peekBufferUnsafe() & DISTANCE_MASK];
+            if ( bits.bufferedBits() < DISTANCE_MAX_BITS + LITERAL_TABLE_BITS ) {
+                bits.refillBranchless();
+            }
+            if ( __builtin_expect( ( entry & ENTRY_EXCEPTIONAL ) != 0, 0 ) ) {
+                if ( ( entry & ENTRY_SUBTABLE ) != 0 ) {
+                    bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+                    entry = distanceTable[subtableIndex( entry, bits.peekBufferUnsafe() )];
+                }
+                if ( ( entry & ENTRY_EXCEPTIONAL ) != 0 ) {
+                    /* No distance code, 30/31, or a pattern an incomplete
+                     * code leaves unused. */
+                    error = Error::INVALID_DISTANCE;
+                    blockDone = true;
+                    break;
+                }
+            }
+            saved = bits.peekBufferUnsafe();
+            bits.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+            const auto distance = static_cast<std::size_t>( ( entry >> 16U )
+                                                            + extraBitsValue( saved, entry ) );
+
+            entry = literalTable[bits.peekBufferUnsafe() & LITERAL_MASK];
+            bits.refillBranchless();
+
+            const auto position = static_cast<std::size_t>( out - begin );
+            if ( __builtin_expect( distance > position, 0 ) ) {
+                /* Reaches behind the buffer start: the seeded window, or
+                 * markers for the unknown one. */
+                error = copyMatchChecked( begin, out, length, distance );
+                if ( error != Error::NONE ) {
+                    blockDone = true;
+                    break;
+                }
+                continue;
+            }
+            /* Copied markers propagate verbatim. */
+            copyMatch( out, length, distance );
+            out += length;
+        } while ( ( out < fastEnd ) && bits.hasBytesAhead( FAST_INPUT_MARGIN ) );
+
+        outRef = out;
+        return error;
+    }
+
+    /**
+     * In-buffer match copy (distance <= position) that may write up to
+     * FAST_OUTPUT_SLACK past the match end: unconditional 8-symbol words
+     * when a word never overlaps its own destination, a broadcast word for
+     * distance 1, and an element loop for the other short distances.
+     */
+    template<typename Symbol>
+    static void
+    copyMatch( Symbol* destination, std::size_t length, std::size_t distance ) noexcept
+    {
+        constexpr auto WORD = COPY_WORD_SYMBOLS;
+        constexpr auto WORD_BYTES = WORD * sizeof( Symbol );
+        const auto* source = destination - distance;
+        auto* const end = destination + length;
+        if ( distance >= WORD ) {
+            const auto copyWord = [&] () {
+                std::memcpy( destination, source, WORD_BYTES );
+                destination += WORD;
+                source += WORD;
+            };
+            copyWord();
+            copyWord();
+            copyWord();
+            copyWord();
+            copyWord();
+            while ( destination < end ) {
+                copyWord();
+            }
+        } else if ( distance == 1 ) {
+            constexpr std::uint64_t SPREAD = sizeof( Symbol ) == 1 ? 0x0101'0101'0101'0101ULL
+                                                                   : 0x0001'0001'0001'0001ULL;
+            const std::uint64_t spread = SPREAD * *source;
+            const std::uint64_t word[2] = { spread, spread };
+            const auto storeWord = [&] () {
+                std::memcpy( destination, word, WORD_BYTES );
+                destination += WORD;
+            };
+            storeWord();
+            storeWord();
+            storeWord();
+            storeWord();
+            storeWord();
+            while ( destination < end ) {
+                storeWord();
+            }
+        } else {
+            for ( ; destination < end; ++destination ) {
+                *destination = *( destination - distance );
+            }
+        }
+    }
+
+    /**
+     * Exact match copy with the full semantics: in plain mode the part
+     * behind the buffer start comes from the seeded window (the window and
+     * the output never interleave within one match); in marker mode it
+     * becomes markers.
+     */
+    template<typename Symbol>
+    [[nodiscard]] Error
+    copyMatchChecked( Symbol* begin, Symbol*& out, std::size_t length,
+                      std::size_t distance ) noexcept
+    {
+        const auto position = static_cast<std::size_t>( out - begin );
+        if constexpr ( std::is_same_v<Symbol, std::uint8_t> ) {
+            if ( distance > position + m_windowSize ) {
+                return Error::EXCEEDED_WINDOW;
+            }
+            std::size_t copied = 0;
+            if ( distance > position ) {
+                copied = std::min( length, distance - position );
+                std::memcpy( out, m_window.data() + m_windowSize - ( distance - position ),
+                             copied );
+            }
+            for ( ; copied < length; ++copied ) {
+                out[copied] = *( out + copied - distance );
+            }
+            out += length;
+        } else {
+            /* distance <= 32768 and position >= 0 bound the marker offset. */
+            for ( auto i = position; i < position + length; ++i ) {
+                begin[i] = distance <= i ? begin[i - distance]
+                                         : static_cast<std::uint16_t>(
+                                             MARKER_BASE + ( WINDOW_SIZE - ( distance - i ) ) );
+            }
+            out += length;
+        }
+        return Error::NONE;
+    }
+
+    /**
+     * One symbol from a packed table with the reference loop's end-of-input
+     * semantics: TRUNCATED_STREAM at the end of the input or when the
+     * codeword matched only thanks to the zero padding, @p invalid for a
+     * bit pattern no code matches.
+     */
+    template<unsigned TABLE_BITS>
+    [[nodiscard]] static std::uint32_t
+    lookupChecked( BitReader& reader, const std::uint32_t* table, Error invalid, Error& error )
+    {
+        if ( reader.eof() ) {
+            error = Error::TRUNCATED_STREAM;
+            return 0;
+        }
+        const auto bits = reader.peek( CodeLengthHistogram::MAX_CODE_LENGTH );
+        auto entry = table[bits & ( ( 1U << TABLE_BITS ) - 1U )];
+        auto length = huffman::codewordLength( entry );
+        if ( ( entry & huffman::ENTRY_SUBTABLE ) != 0 ) {
+            entry = table[huffman::subtableIndex( entry, bits >> TABLE_BITS )];
+            length = TABLE_BITS + huffman::codewordLength( entry );
+        }
+        if ( huffman::codewordLength( entry ) == 0 ) {
+            error = invalid;
+            return 0;
+        }
+        if ( length > reader.bitsLeft() ) {
+            error = Error::TRUNCATED_STREAM;
+            return 0;
+        }
+        reader.skip( length );
+        return entry;
+    }
+
+    /** The block's remainder near the end of the input, symbol by symbol
+     * with checked reads, in the reference loop's order of checks. */
+    template<typename Symbol>
+    [[nodiscard]] Error
+    decodeTail( BitReader& reader, const DynamicHuffmanCodings& codings,
+                OutputBuffer<Symbol>& output )
+    {
+        using namespace huffman;
+        while ( true ) {
+            output.reserve( MAX_MATCH_LENGTH );
+            auto* out = output.cursor();
+            auto error = Error::NONE;
+            const auto entry = lookupChecked<LITERAL_TABLE_BITS>(
+                reader, codings.literalTable.data(), Error::INVALID_SYMBOL, error );
+            if ( error != Error::NONE ) {
+                return error;
+            }
+            if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+                *out++ = static_cast<Symbol>( static_cast<std::uint8_t>( entry >> 16U ) );
+            } else if ( ( entry & ENTRY_EXCEPTIONAL ) != 0 ) {
+                return ( entry & ENTRY_END_OF_BLOCK ) != 0 ? Error::NONE : Error::INVALID_SYMBOL;
+            } else {
+                const auto lengthExtra = static_cast<std::uint8_t>( entry ) - codewordLength( entry );
+                if ( reader.bitsLeft() < lengthExtra ) {
+                    return Error::TRUNCATED_STREAM;
+                }
+                const std::size_t length = ( entry >> 16U )
+                                           + ( lengthExtra > 0 ? reader.read( lengthExtra ) : 0 );
+                if ( !codings.distanceUsable ) {
+                    return Error::INVALID_DISTANCE;
+                }
+                const auto distanceEntry = lookupChecked<DISTANCE_TABLE_BITS>(
+                    reader, codings.distanceTable.data(), Error::INVALID_DISTANCE, error );
+                if ( error != Error::NONE ) {
+                    return error;
+                }
+                if ( ( distanceEntry & ENTRY_EXCEPTIONAL ) != 0 ) {
+                    return Error::INVALID_DISTANCE;  /* 30/31 */
+                }
+                const auto distanceExtra = static_cast<std::uint8_t>( distanceEntry )
+                                           - codewordLength( distanceEntry );
+                if ( reader.bitsLeft() < distanceExtra ) {
+                    return Error::TRUNCATED_STREAM;
+                }
+                const std::size_t distance =
+                    ( distanceEntry >> 16U )
+                    + ( distanceExtra > 0 ? reader.read( distanceExtra ) : 0 );
+                error = copyMatchChecked( output.begin(), out, length, distance );
+                if ( error != Error::NONE ) {
+                    return error;
+                }
+            }
+            m_totalDecoded += static_cast<std::size_t>( out - output.cursor() );
+            output.setCursor( out );
+            if ( m_totalDecoded >= m_hardByteLimit ) {
+                return Error::EXCEEDED_OUTPUT_LIMIT;
+            }
+        }
     }
 
     void
@@ -741,8 +783,7 @@ private:
     /**
      * LZ77 copy. Byte-wise on purpose: overlapping copies (distance <
      * length) replicate, and in 16-bit mode copied symbols may themselves be
-     * markers, which must propagate verbatim and keep the marker clock
-     * (m_lastMarkerPosition) honest.
+     * markers, which must propagate verbatim.
      */
     [[nodiscard]] Error
     emitMatch( DecodedData& data, std::size_t length, std::size_t distance )
@@ -774,16 +815,10 @@ private:
             /* distance <= 32768 and position >= 0 bound the marker offset. */
             for ( std::size_t i = 0; i < length; ++i ) {
                 const auto position = out.size();
-                std::uint16_t symbol;
-                if ( distance <= position ) {
-                    symbol = out[position - distance];
-                } else {
-                    symbol = static_cast<std::uint16_t>(
-                        MARKER_BASE + ( WINDOW_SIZE - ( distance - position ) ) );
-                }
-                if ( symbol >= MARKER_BASE ) {
-                    m_lastMarkerPosition = position;
-                }
+                const auto symbol = distance <= position
+                                    ? out[position - distance]
+                                    : static_cast<std::uint16_t>(
+                                        MARKER_BASE + ( WINDOW_SIZE - ( distance - position ) ) );
                 out.push_back( symbol );
             }
         }
@@ -795,7 +830,10 @@ private:
      * The paper's §3.3 fallback, checked at block granularity: once the
      * trailing WINDOW_SIZE outputs contain no marker, materialize them as a
      * real window and continue with plain 8-bit decoding — halving memory
-     * traffic and skipping stage two for the rest of the chunk.
+     * traffic and skipping stage two for the rest of the chunk. The check
+     * is a backward scan that stops at the first marker: on marker-dense
+     * output a few symbols, at most one window per block otherwise — instead
+     * of tracking the last marker on every copy.
      */
     void
     maybeFallBackToPlain( DecodedData& data )
@@ -807,9 +845,11 @@ private:
         if ( size < WINDOW_SIZE ) {
             return;
         }
-        if ( ( m_lastMarkerPosition != NO_MARKER )
-             && ( m_lastMarkerPosition + WINDOW_SIZE >= size ) ) {
-            return;  /* a marker is still inside the trailing window */
+        const auto* const trailing = data.marked.data() + size - WINDOW_SIZE;
+        for ( auto i = WINDOW_SIZE; i > 0; ) {
+            if ( trailing[--i] >= MARKER_BASE ) {
+                return;  /* a marker is still inside the trailing window */
+            }
         }
         m_windowSize = WINDOW_SIZE;
         for ( std::size_t i = 0; i < WINDOW_SIZE; ++i ) {
@@ -826,7 +866,6 @@ private:
     bool m_plainMode{ false };
     bool m_startAtStoredData{ false };
     bool m_referenceDecoding{ globalReferenceHuffmanDecoding().load( std::memory_order_relaxed ) };
-    std::size_t m_lastMarkerPosition{ NO_MARKER };
     std::size_t m_totalDecoded{ 0 };
     std::size_t m_hardByteLimit{ std::numeric_limits<std::size_t>::max() };
 };

@@ -7,46 +7,138 @@
 #include "../bits/BitReader.hpp"
 #include "../common/Error.hpp"
 #include "../huffman/HuffmanCoding.hpp"
-#include "../huffman/HuffmanCodingDistanceCached.hpp"
 #include "../huffman/HuffmanCodingDoubleLUT.hpp"
-#include "../huffman/HuffmanCodingMultiCached.hpp"
+#include "../huffman/PackedDecodeTable.hpp"
 #include "definitions.hpp"
 
 namespace rapidgzip::deflate {
 
+/** Main-table widths of the decoder's packed tables and their worst-case
+ * sizes with subtables (zlib's `enough 288 11 15` and `enough 32 8 15`). */
+inline constexpr unsigned LITERAL_TABLE_BITS = 11;
+inline constexpr std::size_t LITERAL_TABLE_SIZE = 2342;
+inline constexpr unsigned DISTANCE_TABLE_BITS = 8;
+inline constexpr std::size_t DISTANCE_TABLE_SIZE = 402;
+
+namespace detail {
+
+/** Packed-table results per literal/length symbol: literal bytes, end of
+ * block, length base plus extra-bit count; 286/287 are invalid codes. */
+inline constexpr auto LITERAL_RESULTS = [] () {
+    std::array<std::uint32_t, 288> results{};
+    for ( std::uint32_t symbol = 0; symbol < 256; ++symbol ) {
+        results[symbol] = huffman::ENTRY_LITERAL | huffman::makeResult( symbol, 0 );
+    }
+    results[END_OF_BLOCK] = huffman::ENTRY_EXCEPTIONAL | huffman::ENTRY_END_OF_BLOCK;
+    for ( std::size_t i = 0; i < LENGTH_BASE.size(); ++i ) {
+        results[257 + i] = huffman::makeResult( LENGTH_BASE[i], LENGTH_EXTRA_BITS[i] );
+    }
+    results[286] = huffman::ENTRY_EXCEPTIONAL;
+    results[287] = huffman::ENTRY_EXCEPTIONAL;
+    return results;
+}();
+
+/** Distance base plus extra-bit count; 30/31 are invalid codes. */
+inline constexpr auto DISTANCE_RESULTS = [] () {
+    std::array<std::uint32_t, 32> results{};
+    for ( std::size_t i = 0; i < DISTANCE_BASE.size(); ++i ) {
+        results[i] = huffman::makeResult( DISTANCE_BASE[i], DISTANCE_EXTRA_BITS[i] );
+    }
+    results[30] = huffman::ENTRY_EXCEPTIONAL;
+    results[31] = huffman::ENTRY_EXCEPTIONAL;
+    return results;
+}();
+
+}  // namespace detail
+
 /**
- * The literal/length and distance codings of one Dynamic block. The
- * distance coding may legally be absent (HDIST = 0 with a zero length) or a
- * single incomplete code (RFC 1951 §3.2.7); `distanceUsable` distinguishes
- * "no distance code defined" from "defined but the symbol was invalid".
+ * The literal/length and distance codings of one block. The distance
+ * coding may legally be absent (HDIST = 0 with a zero length) or a single
+ * incomplete code (RFC 1951 §3.2.7); `distanceUsable` distinguishes "no
+ * distance code defined" from "defined but the symbol was invalid".
  *
- * Both sides use cached LUTs whose fallback IS the two-level coding, so
- * accept/reject behavior and the reference decode path are unchanged: the
- * literal/length side packs two literals or a folded length+extra into one
- * lookup, the distance side folds the distance extra bits the same way.
+ * The decoder's tables are the two packed tables (huffman/PackedDecodeTable:
+ * one main table plus subtables per alphabet, rebuilt per Dynamic block
+ * without heap allocation; left uninitialized until built). The two-level
+ * tables serve only the reference loop (Decoder::setReferenceHuffmanDecoding).
  */
 struct DynamicHuffmanCodings
 {
-    HuffmanCodingMultiCached literal;
-    HuffmanCodingDistanceCached distance;
+    std::array<std::uint32_t, LITERAL_TABLE_SIZE> literalTable;
+    std::array<std::uint32_t, DISTANCE_TABLE_SIZE> distanceTable;
+    HuffmanCodingDoubleLUT literal;
+    HuffmanCodingDoubleLUT distance;
     bool distanceUsable{ false };
 };
+
+/**
+ * Validate a literal/length and a distance length vector — the acceptance
+ * rules shared by Dynamic headers and the fixed coding — and build the
+ * packed tables, or with @p referenceTables the two-level ones instead.
+ *
+ * Acceptance follows zlib (stricter than the letter of RFC 1951 where real
+ * encoders are stricter too): the literal/length code must be complete and
+ * not over-subscribed; the distance code must be complete unless it has at
+ * most one symbol.
+ */
+[[nodiscard]] inline Error
+buildCodings( DynamicHuffmanCodings& codings,
+              VectorView<std::uint8_t> literalLengths,
+              VectorView<std::uint8_t> distanceLengths,
+              bool referenceTables )
+{
+    /* Distance first: with only 30 symbols it is the cheaper check, which is
+     * also why the rapid finder's cascade orders it before the literal code
+     * (paper Table 1). */
+    const CodeLengthHistogram distanceHistogram( distanceLengths );
+    codings.distanceUsable = distanceHistogram.codeCount > 0;
+    if ( codings.distanceUsable ) {
+        if ( !distanceHistogram.isValid() ) {
+            return Error::INVALID_DISTANCE_CODING;
+        }
+        if ( ( distanceHistogram.codeCount > 1 ) && !distanceHistogram.isComplete() ) {
+            return Error::NON_OPTIMAL_DISTANCE_CODING;
+        }
+    }
+
+    const CodeLengthHistogram literalHistogram( literalLengths );
+    if ( !literalHistogram.isValid() ) {
+        return Error::INVALID_LITERAL_CODING;
+    }
+    if ( !literalHistogram.isComplete() ) {
+        return Error::NON_OPTIMAL_LITERAL_CODING;
+    }
+
+    if ( referenceTables ) {
+        /* Validated above: construction cannot fail. */
+        (void)codings.literal.initializeFromLengths( literalLengths );
+        if ( codings.distanceUsable ) {
+            (void)codings.distance.initializeFromLengths( distanceLengths );
+        }
+        return Error::NONE;
+    }
+    huffman::buildPackedDecodeTable( codings.literalTable.data(), LITERAL_TABLE_BITS,
+                                     literalLengths, detail::LITERAL_RESULTS.data(),
+                                     literalHistogram );
+    /* Without a distance code every slot is invalid, so a length symbol
+     * fails at the distance lookup exactly like the reference loop's check. */
+    huffman::buildPackedDecodeTable( codings.distanceTable.data(), DISTANCE_TABLE_BITS,
+                                     distanceLengths, detail::DISTANCE_RESULTS.data(),
+                                     distanceHistogram );
+    return Error::NONE;
+}
 
 /**
  * Parse a Dynamic block header (everything after the 3 BFINAL/BTYPE bits)
  * and build the two Huffman codings. This is the single source of truth for
  * header acceptance: the naive block finder calls it directly and the rapid
  * finder's cascaded filters reproduce exactly its accept/reject behavior —
- * any divergence shows up as a false negative in testBlockFinder.
- *
- * Acceptance follows zlib (stricter than the letter of RFC 1951 where real
- * encoders are stricter too): the precode and the literal/length code must
- * be complete and not over-subscribed; the distance code must be complete
- * unless it has at most one symbol.
+ * any divergence shows up as a false negative in testBlockFinder. The
+ * precode must be complete too.
  */
 [[nodiscard]] inline Error
 readDynamicCodings( BitReader& reader, DynamicHuffmanCodings& codings,
-                    bool buildCachedTables = true )
+                    bool referenceTables = false )
 {
     if ( reader.bitsLeft() < MIN_DYNAMIC_HEADER_BITS - 3 ) {
         return Error::TRUNCATED_STREAM;
@@ -119,34 +211,8 @@ readDynamicCodings( BitReader& reader, DynamicHuffmanCodings& codings,
         }
     }
 
-    /* Distance first: with only 30 symbols it is the cheaper check, which is
-     * also why the rapid finder's cascade orders it before the literal code
-     * (paper Table 1). A distance code may be entirely absent, and a
-     * SINGLE-symbol distance code may be incomplete (RFC 1951 §3.2.7). */
-    bool anyDistanceCode = false;
-    for ( std::size_t i = 0; i < distanceCount; ++i ) {
-        anyDistanceCode = anyDistanceCode || ( lengths[literalCount + i] != 0 );
-    }
-    codings.distanceUsable = anyDistanceCode;
-    if ( anyDistanceCode ) {
-        if ( !codings.distance.initializeFromLengths( { lengths.data() + literalCount,
-                                                        distanceCount },
-                                                      buildCachedTables ) ) {
-            return Error::INVALID_DISTANCE_CODING;
-        }
-        if ( ( codings.distance.codeCount() > 1 ) && !codings.distance.isCompleteCode() ) {
-            return Error::NON_OPTIMAL_DISTANCE_CODING;
-        }
-    }
-
-    if ( !codings.literal.initializeFromLengths( { lengths.data(), literalCount },
-                                                 buildCachedTables ) ) {
-        return Error::INVALID_LITERAL_CODING;
-    }
-    if ( !codings.literal.isCompleteCode() ) {
-        return Error::NON_OPTIMAL_LITERAL_CODING;
-    }
-    return Error::NONE;
+    return buildCodings( codings, { lengths.data(), literalCount },
+                         { lengths.data() + literalCount, distanceCount }, referenceTables );
 }
 
 }  // namespace rapidgzip::deflate

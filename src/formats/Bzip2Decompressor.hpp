@@ -14,6 +14,7 @@
 #include "../core/FrameParallelReader.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/SharedFileReader.hpp"
+#include "../telemetry/Registry.hpp"
 #include "Decompressor.hpp"
 #include "Format.hpp"
 #include "VendorBzip2.hpp"
@@ -85,7 +86,7 @@ public:
             } catch ( const RapidgzipError& ) {
                 /* False magic or damaged block: the serial decode decides
                  * whether the file itself is bad. */
-                m_parallelUsable = false;
+                fallBackToSerial();
             }
         }
         return serialDecompress( sink );
@@ -98,7 +99,7 @@ public:
             try {
                 return m_parallel->size();
             } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
+                fallBackToSerial();
             }
         }
         if ( !m_serialSizeKnown ) {
@@ -115,7 +116,7 @@ public:
             try {
                 return m_parallel->readAt( uncompressedOffset, buffer, size );
             } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
+                fallBackToSerial();
             }
         }
         return readRangeViaStreaming(
@@ -133,7 +134,7 @@ public:
             try {
                 return m_parallel->readSpansAt( uncompressedOffset, size, spans );
             } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
+                fallBackToSerial();
                 spans.resize( priorSpans );  /* drop partial zero-copy progress */
             }
         }
@@ -225,6 +226,17 @@ public:
     }
 
 private:
+    /** A walk over the parallel chunks threw: the serial decode answers
+     * from now on, and the switch is counted. */
+    void
+    fallBackToSerial()
+    {
+        m_parallelUsable = false;
+        RAPIDGZIP_TELEMETRY_COUNT_LABELED(
+            "rapidgzip_fallback_total", "Reads that left their parallel path, by path and reason.",
+            "path=\"bzip2_parallel\",reason=\"chunk_walk_error\"", 1 );
+    }
+
     /** MSB-first bit reader over a byte buffer (bzip2's bit order). */
     class MsbBitReader
     {

@@ -11,6 +11,63 @@
 namespace rapidgzip {
 
 /**
+ * Code-length histogram plus the Kraft check: the ONE place any table layout
+ * validates a length vector (the canonical-Huffman CRTP classes below and
+ * the Deflate decoder's packed tables alike), so every layout accepts and
+ * rejects exactly the same codes.
+ */
+struct CodeLengthHistogram
+{
+    static constexpr unsigned MAX_CODE_LENGTH = 15;  /* Deflate limit */
+
+    explicit CodeLengthHistogram( VectorView<std::uint8_t> codeLengths ) noexcept
+    {
+        for ( const auto length : codeLengths ) {
+            if ( length > MAX_CODE_LENGTH ) {
+                tooLong = true;
+                continue;
+            }
+            ++countPerLength[length];
+            maxLength = length > maxLength ? length : maxLength;
+        }
+        codeCount = codeLengths.size() - countPerLength[0];
+        countPerLength[0] = 0;
+        /* Kraft inequality: a negative remainder means over-subscribed. The
+         * remainder at the maximum length separates complete codes (0) from
+         * incomplete ones — Deflate encoders only emit complete codes
+         * (except the single-distance-code case), so the block finders
+         * reject incomplete codes as "non-optimal". */
+        std::int64_t available = 1;
+        for ( unsigned length = 1; length <= maxLength; ++length ) {
+            available = available * 2 - countPerLength[length];
+            if ( available < 0 ) {
+                break;
+            }
+        }
+        kraftRemainder = available;
+    }
+
+    /** At least one codeword, none longer than 15 bits, not over-subscribed. */
+    [[nodiscard]] bool
+    isValid() const noexcept
+    {
+        return !tooLong && ( maxLength > 0 ) && ( kraftRemainder >= 0 );
+    }
+
+    [[nodiscard]] bool
+    isComplete() const noexcept
+    {
+        return kraftRemainder == 0;
+    }
+
+    std::array<std::uint16_t, MAX_CODE_LENGTH + 1> countPerLength{};  /**< [0] stays 0 */
+    unsigned maxLength{ 0 };
+    std::size_t codeCount{ 0 };
+    std::int64_t kraftRemainder{ 0 };
+    bool tooLong{ false };
+};
+
+/**
  * Shared canonical-Huffman machinery (CRTP). Derived classes only decide the
  * lookup-table layout; code assignment, Kraft validation, and the decode()
  * result conventions live here so every decoder variant is interchangeable
@@ -50,37 +107,13 @@ public:
     [[nodiscard]] bool
     initializeFromLengths( VectorView<std::uint8_t> codeLengths )
     {
-        m_maxLength = 0;
-        std::array<std::uint16_t, MAX_CODE_LENGTH + 1> countPerLength{};
-        for ( const auto length : codeLengths ) {
-            if ( length > MAX_CODE_LENGTH ) {
-                return false;
-            }
-            if ( length > 0 ) {
-                ++countPerLength[length];
-                if ( length > m_maxLength ) {
-                    m_maxLength = length;
-                }
-            }
-        }
-        if ( m_maxLength == 0 ) {
+        const CodeLengthHistogram histogram( codeLengths );
+        if ( !histogram.isValid() ) {
             return false;
         }
-
-        /* Kraft inequality: reject over-subscribed codes. The remainder at
-         * the maximum length is kept so callers can distinguish complete
-         * codes (remainder 0) from incomplete ones — Deflate encoders only
-         * emit complete codes (except the single-distance-code case), so the
-         * block finders reject incomplete codes as "non-optimal". */
-        std::int64_t available = 1;
-        for ( unsigned length = 1; length <= m_maxLength; ++length ) {
-            available <<= 1U;
-            available -= countPerLength[length];
-            if ( available < 0 ) {
-                return false;
-            }
-        }
-        m_kraftRemainder = available;
+        m_maxLength = histogram.maxLength;
+        m_kraftRemainder = histogram.kraftRemainder;
+        const auto& countPerLength = histogram.countPerLength;
 
         /* Canonical first-code per length, then assign in symbol order. */
         std::array<std::uint16_t, MAX_CODE_LENGTH + 2> nextCode{};

@@ -407,3 +407,15 @@ private:
             rapidgzipTelemetryCounter_.addUnchecked( amount );                                      \
         }                                                                                           \
     } while ( false )
+
+/** RAPIDGZIP_TELEMETRY_COUNT for one labeled series of a counter family;
+ * @p labels in "key=\"value\"" form. */
+#define RAPIDGZIP_TELEMETRY_COUNT_LABELED( counterName, helpText, labels, amount )                 \
+    do {                                                                                            \
+        if ( ::rapidgzip::telemetry::metricsEnabled() ) {                                           \
+            static auto& rapidgzipTelemetryCounter_ =                                               \
+                ::rapidgzip::telemetry::Registry::instance().counter( counterName, helpText,        \
+                                                                      labels );                     \
+            rapidgzipTelemetryCounter_.addUnchecked( amount );                                      \
+        }                                                                                           \
+    } while ( false )

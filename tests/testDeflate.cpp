@@ -9,11 +9,16 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include <zlib.h>
+
 #include "blockfinder/DynamicBlockFinderNaive.hpp"
+#include "blockfinder/NonCompressedBlockFinder.hpp"
 #include "deflate/DecodedData.hpp"
 #include "deflate/DeflateDecoder.hpp"
 #include "gzip/DeflateBlockWriter.hpp"
@@ -22,6 +27,7 @@
 #include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
+#include "VendorLibdeflate.hpp"
 
 using namespace rapidgzip;
 
@@ -207,6 +213,227 @@ markerClockStream( std::size_t copyDistance )
     return stream;
 }
 
+
+/** Raw Deflate (no gzip framing) at zlib @p level and @p memLevel: memLevel
+ * 1 shrinks zlib's symbol buffer to 128 entries, so blocks are tiny and the
+ * stream is dominated by Dynamic headers. */
+[[nodiscard]] std::vector<std::uint8_t>
+compressRawDeflate( const std::vector<std::uint8_t>& data, int level, int memLevel )
+{
+    z_stream stream{};
+    REQUIRE( deflateInit2( &stream, level, Z_DEFLATED, -15, memLevel, Z_DEFAULT_STRATEGY )
+             == Z_OK );
+    std::vector<std::uint8_t> result( deflateBound( &stream, static_cast<uLong>( data.size() ) ) );
+    stream.next_in = const_cast<Bytef*>( data.data() );
+    stream.avail_in = static_cast<uInt>( data.size() );
+    stream.next_out = result.data();
+    stream.avail_out = static_cast<uInt>( result.size() );
+    REQUIRE( ::deflate( &stream, Z_FINISH ) == Z_STREAM_END );
+    result.resize( stream.total_out );
+    deflateEnd( &stream );
+    return result;
+}
+
+/**
+ * Dynamic blocks whose literal/length AND distance codes reach 15 bits,
+ * with every coded symbol drawn uniformly so the long codes (subtable
+ * entries of the decoder's packed tables) occur constantly: literals,
+ * lengths with all extra-bit widths, distances from 1 bit up to 15-bit codes
+ * with extra bits. Distances never exceed the output so far, so the stream
+ * decodes with an empty window. Returns the stream and its decoded bytes.
+ */
+[[nodiscard]] std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t> >
+longCodeStream( std::uint64_t seed )
+{
+    Xorshift64 random( seed );
+    std::vector<std::uint8_t> stream;
+    std::vector<std::uint8_t> decoded;
+    deflatewriter::LsbBitWriter writer( stream );
+
+    const auto canonical = [] ( const std::vector<std::uint8_t>& lengths ) {
+        std::vector<std::uint32_t> codes( lengths.size() );
+        std::uint32_t countPerLength[16] = {};
+        for ( const auto length : lengths ) {
+            ++countPerLength[length];
+        }
+        countPerLength[0] = 0;
+        std::uint32_t next[16] = {};
+        for ( unsigned length = 1, code = 0; length <= 15; ++length ) {
+            code = ( code + countPerLength[length - 1] ) << 1U;
+            next[length] = code;
+        }
+        for ( std::size_t symbol = 0; symbol < lengths.size(); ++symbol ) {
+            codes[symbol] = lengths[symbol] > 0 ? next[lengths[symbol]]++ : 0;
+        }
+        return codes;
+    };
+
+    for ( int block = 0; block < 3; ++block ) {
+        /* Literal/length: split-then-extend to a complete code over all 286
+         * symbols, capped at 15 bits; distance: 1, 2, ..., 15, 15 bits. */
+        std::vector<std::uint8_t> literalLengths( 286, 0 );
+        literalLengths[0] = 1;
+        literalLengths[1] = 1;
+        for ( std::size_t used = 2; used < literalLengths.size(); ) {
+            const auto victim = random.below( used );
+            if ( literalLengths[victim] < 15 ) {
+                literalLengths[used++] = ++literalLengths[victim];
+            }
+        }
+        REQUIRE( *std::max_element( literalLengths.begin(), literalLengths.end() ) == 15 );
+        std::vector<std::uint8_t> distanceLengths( 30, 0 );
+        for ( unsigned i = 0; i < 15; ++i ) {
+            distanceLengths[( i + block ) % 16] = static_cast<std::uint8_t>( i + 1 );
+        }
+        distanceLengths[( 15 + block ) % 16] = 15;
+        const auto literalCodes = canonical( literalLengths );
+        const auto distanceCodes = canonical( distanceLengths );
+
+        writer.writeBits( block == 2 ? 1 : 0, 1 );
+        writer.writeBits( 2, 2 );
+        writer.writeBits( 286 - 257, 5 );
+        writer.writeBits( 30 - 1, 5 );
+        writer.writeBits( 19 - 4, 4 );
+        /* Precode: code-length symbols 0..15 at 4 bits each (complete). */
+        for ( const auto symbol : deflate::PRECODE_ORDER ) {
+            writer.writeBits( symbol < 16 ? 4 : 0, 3 );
+        }
+        for ( const auto lengths : { &literalLengths, &distanceLengths } ) {
+            for ( const auto length : *lengths ) {
+                writer.writeCode( length, 4 );
+            }
+        }
+
+        for ( int event = 0; event < 3000; ++event ) {
+            auto symbol = random.below( 286 );
+            if ( symbol == deflate::END_OF_BLOCK ) {
+                continue;
+            }
+            if ( symbol > 256 ) {
+                const auto lengthIndex = symbol - 257;
+                const auto lengthExtra = deflate::LENGTH_EXTRA_BITS[lengthIndex];
+                const auto lengthExtraValue = static_cast<std::uint32_t>(
+                    random.below( std::size_t( 1 ) << lengthExtra ) );
+                std::size_t distanceSymbol = 0;
+                do {
+                    distanceSymbol = random.below( 16 );
+                } while ( distanceLengths[distanceSymbol] == 0 );
+                const auto distanceExtra = deflate::DISTANCE_EXTRA_BITS[distanceSymbol];
+                const auto distanceExtraValue = static_cast<std::uint32_t>(
+                    random.below( std::size_t( 1 ) << distanceExtra ) );
+                const std::size_t distance = deflate::DISTANCE_BASE[distanceSymbol]
+                                             + distanceExtraValue;
+                if ( distance <= decoded.size() ) {
+                    writer.writeCode( literalCodes[symbol], literalLengths[symbol] );
+                    writer.writeBits( lengthExtraValue, lengthExtra );
+                    writer.writeCode( distanceCodes[distanceSymbol],
+                                      distanceLengths[distanceSymbol] );
+                    writer.writeBits( distanceExtraValue, distanceExtra );
+                    const auto length = deflate::LENGTH_BASE[lengthIndex] + lengthExtraValue;
+                    for ( std::size_t i = 0; i < length; ++i ) {
+                        decoded.push_back( decoded[decoded.size() - distance] );
+                    }
+                    continue;
+                }
+                symbol = random.below( 256 );
+            }
+            writer.writeCode( literalCodes[symbol], literalLengths[symbol] );
+            decoded.push_back( static_cast<std::uint8_t>( symbol ) );
+        }
+        writer.writeCode( literalCodes[deflate::END_OF_BLOCK],
+                          literalLengths[deflate::END_OF_BLOCK] );
+    }
+    writer.alignToByte();
+    return { stream, decoded };
+}
+
+struct LockstepRun
+{
+    std::vector<deflate::Decoder::Result> results;
+    std::vector<bool> plainAfterBlock;
+    deflate::DecodedData data;
+};
+
+/**
+ * Fast loop vs reference loop, block by block from @p fromBit: every
+ * per-block Result (error, endBitOffset, blockCount, BFINAL) must match,
+ * and so must the block after which the decoder switches to 8-bit output,
+ * stopping at the first error (truncated inputs) or the final block. When
+ * every block decoded, the output must match too: marker symbols, plain
+ * segments, and their split. Returns the fast run.
+ */
+[[nodiscard]] LockstepRun
+decodeLockstep( BufferView stream, std::size_t fromBit, bool windowKnown,
+                bool startAtStoredData = false )
+{
+    std::vector<LockstepRun> runs;
+    for ( const bool reference : { false, true } ) {
+        LockstepRun run;
+        BitReader reader( stream.data(), stream.size() );
+        reader.seek( fromBit );
+        deflate::Decoder decoder;
+        decoder.setReferenceHuffmanDecoding( reference );
+        decoder.setStartAtStoredData( startAtStoredData );
+        if ( windowKnown ) {
+            decoder.setInitialWindow( {} );
+        }
+        while ( true ) {
+            const auto result = decoder.decode( reader, run.data, reader.tell() + 1 );
+            decoder.setStartAtStoredData( false );  /* applies to the first block only */
+            run.results.push_back( result );
+            run.plainAfterBlock.push_back( decoder.inPlainMode() );
+            if ( ( result.error != Error::NONE ) || result.reachedFinalBlock ) {
+                break;
+            }
+            reader.seek( result.endBitOffset );
+        }
+        runs.push_back( std::move( run ) );
+    }
+    const auto& fast = runs[0];
+    const auto& reference = runs[1];
+    REQUIRE( fast.results.size() == reference.results.size() );
+    for ( std::size_t i = 0; i < fast.results.size(); ++i ) {
+        REQUIRE( fast.results[i].error == reference.results[i].error );
+        REQUIRE( fast.results[i].endBitOffset == reference.results[i].endBitOffset );
+        REQUIRE( fast.results[i].blockCount == reference.results[i].blockCount );
+        REQUIRE( fast.results[i].reachedFinalBlock == reference.results[i].reachedFinalBlock );
+    }
+    REQUIRE( fast.plainAfterBlock == reference.plainAfterBlock );
+    if ( fast.results.back().error == Error::NONE ) {
+        REQUIRE( fast.data.marked.size() == reference.data.marked.size() );
+        REQUIRE( std::equal( fast.data.marked.begin(), fast.data.marked.end(),
+                             reference.data.marked.begin() ) );
+        REQUIRE( fast.data.plain.size() == reference.data.plain.size() );
+        for ( std::size_t i = 0; i < fast.data.plain.size(); ++i ) {
+            REQUIRE( fast.data.plain[i].data.size() == reference.data.plain[i].data.size() );
+            REQUIRE( std::equal( fast.data.plain[i].data.begin(), fast.data.plain[i].data.end(),
+                                 reference.data.plain[i].data.begin() ) );
+        }
+    }
+    return std::move( runs[0] );
+}
+
+/** decodeLockstep on the whole stream and on truncations of it (cut inside
+ * the first, a middle, and the last blocks, and a few bytes short of the
+ * end): a truncated input must fail identically in both loops. */
+void
+checkLockstepWithTruncations( BufferView stream, std::size_t fromBit, bool windowKnown )
+{
+    const auto whole = decodeLockstep( stream, fromBit, windowKnown );
+    REQUIRE( whole.results.back().error == Error::NONE );
+    REQUIRE( whole.results.back().reachedFinalBlock );
+    const auto& results = whole.results;
+    const std::size_t cuts[] = {
+        fromBit / 8 + 1, fromBit / 8 + 37, stream.size() / 2, stream.size() - 17,
+        stream.size() - 3, stream.size() - 1, results.front().endBitOffset / 8 - 1,
+        results[results.size() / 2].endBitOffset / 8 + 5, results.back().endBitOffset / 8 - 9 };
+    for ( const auto cut : cuts ) {
+        if ( ( cut * 8 > fromBit ) && ( cut < stream.size() ) ) {
+            (void)decodeLockstep( { stream.data(), cut }, fromBit, windowKnown );
+        }
+    }
+}
+
 }  // namespace
 
 int
@@ -332,46 +559,14 @@ main()
      * bulk LZ77 copies (also over markers), and the cached distance table
      * must be invisible. Decodes block by block to see the switch. */
     {
-        constexpr auto NEVER = std::numeric_limits<std::size_t>::max();
-        const auto decodeBoth = [NEVER] ( BufferView stream, std::size_t fromBit, bool windowKnown ) {
-            std::vector<deflate::DecodedData> results;
-            std::vector<std::size_t> switchBlocks;
-            for ( const bool reference : { false, true } ) {
-                BitReader reader( stream.data(), stream.size() );
-                reader.seek( fromBit );
-                deflate::Decoder decoder;
-                decoder.setReferenceHuffmanDecoding( reference );
-                if ( windowKnown ) {
-                    decoder.setInitialWindow( {} );
-                }
-                deflate::DecodedData decoded;
-                std::size_t switchBlock = decoder.inPlainMode() ? 0 : NEVER;
-                for ( std::size_t block = 1; ; ++block ) {
-                    const auto result = decoder.decode( reader, decoded, reader.tell() + 1 );
-                    REQUIRE( result.error == Error::NONE );
-                    REQUIRE( result.blockCount == 1 );
-                    if ( ( switchBlock == NEVER ) && decoder.inPlainMode() ) {
-                        switchBlock = block;
-                    }
-                    if ( result.reachedFinalBlock ) {
-                        break;
-                    }
-                }
-                results.push_back( std::move( decoded ) );
-                switchBlocks.push_back( switchBlock );
+        const auto decodeBoth = [] ( BufferView stream, std::size_t fromBit, bool windowKnown ) {
+            auto run = decodeLockstep( stream, fromBit, windowKnown );
+            REQUIRE( run.results.back().error == Error::NONE );
+            REQUIRE( run.results.back().reachedFinalBlock );
+            for ( const auto& result : run.results ) {
+                REQUIRE( result.blockCount == 1 );
             }
-            REQUIRE( switchBlocks[0] == switchBlocks[1] );
-            REQUIRE( results[0].marked.size() == results[1].marked.size() );
-            REQUIRE( std::equal( results[0].marked.begin(), results[0].marked.end(),
-                                 results[1].marked.begin() ) );
-            REQUIRE( results[0].plain.size() == results[1].plain.size() );
-            for ( std::size_t i = 0; i < results[0].plain.size(); ++i ) {
-                REQUIRE( results[0].plain[i].data.size() == results[1].plain[i].data.size() );
-                REQUIRE( std::equal( results[0].plain[i].data.begin(),
-                                     results[0].plain[i].data.end(),
-                                     results[1].plain[i].data.begin() ) );
-            }
-            return results[0];
+            return std::move( run.data );
         };
 
         /* Marker-dense: templated log lines keep copying markers forward,
@@ -416,6 +611,108 @@ main()
                 }
             }
         }
+    }
+
+    /* Header-dominated streams: zlib at memLevel 1 emits a Dynamic block
+     * every ~128 symbols, so table builds dominate and the fast loop keeps
+     * entering and leaving blocks. Lockstep from the start with a known
+     * window and from a mid-stream block in marker mode, whole and
+     * truncated. */
+    for ( const auto* workload : { &base64, &silesia } ) {
+        const std::vector<std::uint8_t> data( workload->begin(), workload->begin() + 1 * MiB );
+        const auto stream = compressRawDeflate( data, 6, /* memLevel */ 1 );
+        const BufferView view( stream.data(), stream.size() );
+        REQUIRE( decodeLockstep( view, 0, true ).results.size() > 1000 );
+        checkLockstepWithTruncations( view, 0, /* windowKnown */ true );
+        const blockfinder::DynamicBlockFinderNaive finder;
+        const auto blockBit = finder.find( view, stream.size() / 2 * 8 );
+        REQUIRE( blockBit != blockfinder::NOT_FOUND );
+        checkLockstepWithTruncations( view, blockBit, /* windowKnown */ false );
+    }
+
+    /* Hand-built Dynamic blocks with 15-bit literal/length and distance
+     * codes: every long code goes through a subtable of the packed tables. */
+    for ( std::uint64_t seed = 1; seed <= 3; ++seed ) {
+        const auto [stream, expected] = longCodeStream( seed );
+        const BufferView view( stream.data(), stream.size() );
+        const auto plain = decodeLockstep( view, 0, /* windowKnown */ true );
+        REQUIRE( plain.results.back().reachedFinalBlock );
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( plain.data, {}, resolved );
+        REQUIRE( resolved == expected );
+        checkLockstepWithTruncations( view, 0, /* windowKnown */ true );
+        checkLockstepWithTruncations( view, 0, /* windowKnown */ false );
+    }
+
+    /* Stored blocks in bulk: random data compresses to stored blocks; start
+     * mid-stream at a stored block's LEN field (setStartAtStoredData), and
+     * hit the hard output limit inside a stored block. */
+    {
+        const auto gz = compressGzipLike( { random.data(), random.size() }, 6 );
+        const auto stream = deflateStream( gz );
+        const blockfinder::NonCompressedBlockFinder finder;
+        const auto lengthBit = finder.find( stream, stream.size() / 2 * 8 );
+        REQUIRE( lengthBit != blockfinder::NOT_FOUND );
+        const auto run = decodeLockstep( stream, lengthBit, /* windowKnown */ false,
+                                         /* startAtStoredData */ true );
+        REQUIRE( run.results.back().error == Error::NONE );
+        REQUIRE( run.results.back().reachedFinalBlock );
+        const auto total = run.data.totalSize();
+        REQUIRE( ( total > 0 ) && ( total < random.size() ) );
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( run.data, {}, resolved );
+        REQUIRE( std::equal( resolved.begin(), resolved.end(),
+                             random.end() - static_cast<std::ptrdiff_t>( total ) ) );
+
+        for ( const bool windowKnown : { false, true } ) {
+            std::vector<std::vector<std::uint8_t> > outputs;
+            for ( const bool reference : { false, true } ) {
+                BitReader reader( stream.data(), stream.size() );
+                deflate::Decoder decoder;
+                decoder.setReferenceHuffmanDecoding( reference );
+                if ( windowKnown ) {
+                    decoder.setInitialWindow( {} );
+                }
+                deflate::DecodedData decoded;
+                const auto result = decoder.decode(
+                    reader, decoded, std::numeric_limits<std::size_t>::max(), 1000 );
+                REQUIRE( result.error == Error::EXCEEDED_OUTPUT_LIMIT );
+                REQUIRE( decoded.totalSize() == 1000 + 2 * deflate::MAX_MATCH_LENGTH );
+                outputs.emplace_back();
+                deflate::resolveInto( decoded, {}, outputs.back() );
+            }
+            REQUIRE( outputs[0] == outputs[1] );
+        }
+    }
+
+    /* libdeflate as a second oracle: whole-stream output on every generator
+     * and compression level must equal both the input and libdeflate's. */
+    if ( vendor::HAVE_LIBDEFLATE ) {
+        vendor::LibdeflateDecompressor libdeflate;
+        const auto runs = workloads::runsData( SIZE, 0xDEF6 );
+        const auto lzBoundary = workloads::lzBoundaryData( SIZE, 0xDEF7 );
+        const auto logs = workloads::logLinesData( SIZE, 0xDEF8 );
+        for ( const auto* workload : { &base64, &fastq, &silesia, &random, &runs, &lzBoundary,
+                                       &logs } ) {
+            for ( const int level : { 1, 6, 9 } ) {
+                const auto gz = compressGzipLike( { workload->data(), workload->size() }, level );
+                const auto stream = deflateStream( gz );
+                std::vector<std::uint8_t> oracle( workload->size() );
+                REQUIRE( libdeflate.decompress( stream.data(), stream.size(), oracle ) );
+                REQUIRE( oracle == *workload );
+
+                BitReader reader( stream.data(), stream.size() );
+                deflate::Decoder decoder;
+                decoder.setInitialWindow( {} );
+                deflate::DecodedData decoded;
+                REQUIRE( decoder.decode( reader, decoded ).error == Error::NONE );
+                std::vector<std::uint8_t> resolved;
+                deflate::resolveInto( decoded, {}, resolved );
+                REQUIRE( resolved == oracle );
+            }
+        }
+    } else {
+        std::printf( "SKIPPED libdeflate oracle: libdeflate not found at configure time\n" );
     }
 
     /* Unchecked-append path at exact capacity boundaries (PR 4): the fast

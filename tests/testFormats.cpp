@@ -22,6 +22,8 @@
 #include "formats/XxHash32.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
+#include "telemetry/Registry.hpp"
+#include "telemetry/Telemetry.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
@@ -387,8 +389,18 @@ checkMisstatedSeekPoints( const std::vector<std::uint8_t>& archive,
                 auto reader = open();
                 REQUIRE( reader->importSeekPoints( points, data.size() ) );
                 if constexpr ( SERIAL_FALLBACK ) {
+                    /* The switch to the serial decode is counted, once. */
+                    auto& registry = telemetry::Registry::instance();
+                    telemetry::setMetricsEnabled( true );
+                    const auto fallbacks = registry.counterTotal( "rapidgzip_fallback_total" );
                     REQUIRE( read( *reader, offset ) == expected );
                     REQUIRE( !reader->parallelizable() );
+                    REQUIRE( read( *reader, offset ) == expected );
+                    telemetry::setMetricsEnabled( false );
+                    REQUIRE( registry.counterTotal( "rapidgzip_fallback_total" ) == fallbacks + 1 );
+                    REQUIRE( registry.counter( "rapidgzip_fallback_total", {},
+                                               "path=\"bzip2_parallel\","
+                                               "reason=\"chunk_walk_error\"" ).total() > 0 );
                 } else {
                     REQUIRE_THROWS_AS( (void)read( *reader, offset ), RapidgzipError );
                 }

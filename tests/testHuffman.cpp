@@ -2,10 +2,13 @@
  * Huffman layer: canonical code construction, decode correctness for both
  * LUT layouts against a reference encoder, Kraft validation, EOF and
  * invalid-code behavior — including the 15-bit pathological shape whose
- * construction cost motivates the two-level layout.
+ * construction cost motivates the two-level layout — and the Deflate
+ * decoder's packed tables against the two-level LUT.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bits/BitReader.hpp"
@@ -13,7 +16,7 @@
 #include "deflate/definitions.hpp"
 #include "huffman/HuffmanCoding.hpp"
 #include "huffman/HuffmanCodingDoubleLUT.hpp"
-#include "huffman/HuffmanCodingMultiCached.hpp"
+#include "huffman/PackedDecodeTable.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
@@ -195,91 +198,79 @@ decodeEventsReference( const Coding& coding, const std::vector<std::uint8_t>& da
     return events;
 }
 
-/** The same event stream decoded through the multi-symbol LUT with the
- * Decoder's fast-loop discipline (guaranteed-bits lookups, safe tail). */
+/** The same event stream decoded through the Decoder's packed literal/length
+ * table with its loop discipline: guaranteed-bits lookups while the input
+ * lasts, length extra bits from the bit buffer saved before the entry was
+ * consumed, and checked lookups (zero-padded peek, EOF on a codeword cut by
+ * the end) near the end. */
 std::vector<int>
-decodeEventsMulti( const HuffmanCodingMultiCached& coding,
-                   const std::vector<std::uint8_t>& data, std::size_t maxEvents )
+decodeEventsPacked( const deflate::DynamicHuffmanCodings& codings,
+                    const std::vector<std::uint8_t>& data, std::size_t maxEvents )
 {
+    using namespace huffman;
+    constexpr auto TABLE_BITS = deflate::LITERAL_TABLE_BITS;
+    const auto* const table = codings.literalTable.data();
     std::vector<int> events;
     BitReader reader( data.data(), data.size() );
-    constexpr unsigned GUARANTEED_BITS = 15 + 5;  /* max code + max length extra */
     while ( events.size() < maxEvents ) {
-        if ( !reader.ensureBits( GUARANTEED_BITS ) ) {
-            /* Safe tail near EOF: the delegate path, symbol by symbol. */
-            const auto symbol = coding.decode( reader );
-            if ( symbol < 0 ) {
-                events.push_back( symbol );
-                break;
+        std::uint32_t entry = 0;
+        std::uint64_t saved = 0;
+        if ( reader.ensureBits( 15 + 5 ) ) {
+            saved = reader.peekUnsafe( 15 + 5 );
+            entry = table[saved & ( ( 1U << TABLE_BITS ) - 1U )];
+            if ( ( entry & ENTRY_SUBTABLE ) != 0 ) {
+                reader.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+                saved = reader.peekUnsafe( 15 + 5 - TABLE_BITS );
+                entry = table[subtableIndex( entry, saved )];
             }
-            if ( symbol < 256 ) {
-                events.push_back( symbol );
-                continue;
-            }
-            if ( symbol == 256 ) {
-                events.push_back( 256 );
-                break;
-            }
-            if ( symbol > 285 ) {
-                events.push_back( HuffmanCodingDoubleLUT::DECODE_INVALID );
-                break;
-            }
-            const auto lengthIndex = static_cast<std::size_t>( symbol - 257 );
-            const auto extra = deflate::LENGTH_EXTRA_BITS[lengthIndex];
-            if ( reader.bitsLeft() < extra ) {
+            reader.consumeUnsafe( static_cast<std::uint8_t>( entry ) );
+        } else {
+            if ( reader.eof() ) {
                 events.push_back( HuffmanCodingDoubleLUT::DECODE_EOF );
                 break;
             }
-            events.push_back( 1000 + static_cast<int>(
-                deflate::LENGTH_BASE[lengthIndex]
-                + ( extra > 0 ? reader.read( extra ) : 0 ) ) );
-            continue;
-        }
-
-        const auto& entry = coding.lookup( reader.peekUnsafe( coding.cacheBits() ) );
-        reader.consumeUnsafe( entry.bitsConsumed );  /* 0 for FALLBACK */
-        const auto kind = entry.kind();
-        if ( kind == HuffmanCodingMultiCached::LITERALS ) {
-            events.push_back( entry.payload & 0xFFU );
-            if ( entry.count() == 2 ) {
-                events.push_back( entry.payload >> 8U );
+            const auto bits = reader.peek( 15 );
+            entry = table[bits & ( ( 1U << TABLE_BITS ) - 1U )];
+            auto length = codewordLength( entry );
+            if ( ( entry & ENTRY_SUBTABLE ) != 0 ) {
+                entry = table[subtableIndex( entry, bits >> TABLE_BITS )];
+                length = TABLE_BITS + codewordLength( entry );
             }
-        } else if ( kind == HuffmanCodingMultiCached::LENGTH ) {
-            events.push_back( 1000 + static_cast<int>(
-                entry.payload + reader.readUnsafe( entry.extraBits() ) ) );
-        } else if ( kind == HuffmanCodingMultiCached::END_OF_BLOCK ) {
+            if ( length > reader.bitsLeft() ) {
+                events.push_back( HuffmanCodingDoubleLUT::DECODE_EOF );
+                break;
+            }
+            reader.skip( length );
+            const auto extra = static_cast<std::uint8_t>( entry ) - codewordLength( entry );
+            if ( ( ( entry & ( ENTRY_LITERAL | ENTRY_EXCEPTIONAL ) ) == 0 ) && ( extra > 0 ) ) {
+                if ( reader.bitsLeft() < extra ) {
+                    events.push_back( HuffmanCodingDoubleLUT::DECODE_EOF );
+                    break;
+                }
+                saved = reader.read( extra ) << codewordLength( entry );
+            }
+        }
+        if ( ( entry & ENTRY_LITERAL ) != 0 ) {
+            events.push_back( static_cast<int>( ( entry >> 16U ) & 0xFFU ) );
+        } else if ( ( entry & ENTRY_END_OF_BLOCK ) != 0 ) {
             events.push_back( 256 );
             break;
+        } else if ( ( entry & ENTRY_EXCEPTIONAL ) != 0 ) {
+            events.push_back( HuffmanCodingDoubleLUT::DECODE_INVALID );  /* 286/287 */
+            break;
         } else {
-            const auto symbol = coding.fallback().decodeUnsafe( reader );
-            if ( symbol < 0 ) {
-                events.push_back( symbol );
-                break;
-            }
-            if ( symbol < 256 ) {
-                events.push_back( symbol );
-            } else if ( symbol == 256 ) {
-                events.push_back( 256 );
-                break;
-            } else if ( symbol <= 285 ) {
-                const auto lengthIndex = static_cast<std::size_t>( symbol - 257 );
-                const auto extra = deflate::LENGTH_EXTRA_BITS[lengthIndex];
-                events.push_back( 1000 + static_cast<int>(
-                    deflate::LENGTH_BASE[lengthIndex] + reader.readUnsafe( extra ) ) );
-            } else {
-                events.push_back( HuffmanCodingDoubleLUT::DECODE_INVALID );
-                break;
-            }
+            events.push_back( 1000 + static_cast<int>( ( entry >> 16U )
+                                                       + extraBitsValue( saved, entry ) ) );
         }
     }
     return events;
 }
 
 /**
- * The multi-symbol-LUT equivalence sweep: on the same coding and the same
- * bits, the event streams of the naive single-level LUT, the two-level LUT,
- * and the multi-symbol cached LUT must agree exactly — including the
- * terminal EOF/INVALID event at a truncated (EOF-at-boundary) stream.
+ * Packed-table equivalence sweep: on the same coding and the same bits, the
+ * event streams of the naive single-level LUT, the two-level LUT, and the
+ * Decoder's packed table must agree exactly — including the terminal
+ * EOF/INVALID event at a truncated (EOF-at-boundary) stream.
  */
 void
 checkEventEquivalence( const std::vector<std::uint8_t>& lengths,
@@ -287,17 +278,19 @@ checkEventEquivalence( const std::vector<std::uint8_t>& lengths,
 {
     HuffmanCoding naive;
     HuffmanCodingDoubleLUT twoLevel;
-    HuffmanCodingMultiCached multi;
+    deflate::DynamicHuffmanCodings packed;
+    const std::uint8_t distanceLength = 1;
     REQUIRE( naive.initializeFromLengths( { lengths.data(), lengths.size() } ) );
     REQUIRE( twoLevel.initializeFromLengths( { lengths.data(), lengths.size() } ) );
-    REQUIRE( multi.initializeFromLengths( { lengths.data(), lengths.size() } ) );
+    REQUIRE( deflate::buildCodings( packed, { lengths.data(), lengths.size() },
+                                    { &distanceLength, 1 }, false ) == Error::NONE );
 
     constexpr std::size_t MAX_EVENTS = 20000;
     const auto naiveEvents = decodeEventsReference( naive, bits, MAX_EVENTS );
     const auto twoLevelEvents = decodeEventsReference( twoLevel, bits, MAX_EVENTS );
-    const auto multiEvents = decodeEventsMulti( multi, bits, MAX_EVENTS );
+    const auto packedEvents = decodeEventsPacked( packed, bits, MAX_EVENTS );
     REQUIRE( naiveEvents == twoLevelEvents );
-    REQUIRE( twoLevelEvents == multiEvents );
+    REQUIRE( twoLevelEvents == packedEvents );
 
     /* EOF at every boundary near the end: all three must agree bit-exactly
      * on the truncated streams too. */
@@ -305,10 +298,93 @@ checkEventEquivalence( const std::vector<std::uint8_t>& lengths,
         const std::vector<std::uint8_t> truncated( bits.begin(), bits.end() - cut );
         const auto a = decodeEventsReference( naive, truncated, MAX_EVENTS );
         const auto b = decodeEventsReference( twoLevel, truncated, MAX_EVENTS );
-        const auto c = decodeEventsMulti( multi, truncated, MAX_EVENTS );
+        const auto c = decodeEventsPacked( packed, truncated, MAX_EVENTS );
         REQUIRE( a == b );
         REQUIRE( b == c );
     }
+}
+
+/**
+ * Build the packed table for @p lengths with identity results (payload =
+ * symbol) and resolve EVERY 15-bit pattern through it and through the
+ * two-level LUT: both must yield the same (symbol, bits consumed), and the
+ * same verdict for patterns no code matches. An all-zero vector (a block
+ * without distance codes) must leave every slot invalid.
+ */
+void
+checkPackedTable( const std::vector<std::uint8_t>& lengths, unsigned tableBits )
+{
+    using namespace huffman;
+    std::vector<std::uint32_t> results( lengths.size() );
+    for ( std::size_t symbol = 0; symbol < results.size(); ++symbol ) {
+        results[symbol] = makeResult( static_cast<std::uint32_t>( symbol ), 0 );
+    }
+    const CodeLengthHistogram histogram( { lengths.data(), lengths.size() } );
+    REQUIRE( ( histogram.codeCount == 0 ) || histogram.isValid() );
+    REQUIRE( ( histogram.codeCount <= 1 ) || histogram.isComplete() );
+    /* Canary after the worst-case size of the decoder's tables (a distance
+     * table only ever holds the 32-symbol alphabet): the build must never
+     * write past it. */
+    const std::size_t enough = tableBits == deflate::LITERAL_TABLE_BITS
+                               ? deflate::LITERAL_TABLE_SIZE
+                               : lengths.size() <= 32 ? deflate::DISTANCE_TABLE_SIZE
+                                                      : std::size_t( 1 ) << 16U;
+    std::vector<std::uint32_t> table( enough + 1, 0xDEADBEEFU );
+    buildPackedDecodeTable( table.data(), tableBits, { lengths.data(), lengths.size() },
+                            results.data(), histogram );
+    REQUIRE( table[enough] == 0xDEADBEEFU );
+
+    HuffmanCodingDoubleLUT twoLevel;
+    const auto haveCode = twoLevel.initializeFromLengths( { lengths.data(), lengths.size() } );
+    REQUIRE( haveCode == ( histogram.codeCount > 0 ) );
+
+    for ( std::uint32_t pattern = 0; pattern < ( 1U << 15U ); ++pattern ) {
+        auto entry = table[pattern & ( ( 1U << tableBits ) - 1U )];
+        auto length = codewordLength( entry );
+        if ( ( entry & ENTRY_SUBTABLE ) != 0 ) {
+            entry = table[subtableIndex( entry, pattern >> tableBits )];
+            length = tableBits + codewordLength( entry );
+        }
+        const auto matched = codewordLength( entry ) != 0;
+        if ( !haveCode ) {
+            REQUIRE( !matched && ( entry == ENTRY_EXCEPTIONAL ) );
+            continue;
+        }
+        const std::uint8_t bytes[4] = { static_cast<std::uint8_t>( pattern ),
+                                        static_cast<std::uint8_t>( pattern >> 8U ), 0, 0 };
+        BitReader reader( bytes, sizeof( bytes ) );
+        const auto symbol = twoLevel.decode( reader );
+        if ( symbol == HuffmanCodingDoubleLUT::DECODE_INVALID ) {
+            REQUIRE( !matched );
+            continue;
+        }
+        REQUIRE( matched );
+        REQUIRE( static_cast<int>( entry >> 16U ) == symbol );
+        REQUIRE( length == reader.tell() );
+        REQUIRE( static_cast<std::uint8_t>( entry ) == codewordLength( entry ) );
+    }
+}
+
+/** @p usedSymbols complete-code lengths (1..@p maxLength bits) scattered over
+ * an alphabet of @p alphabetSize, the rest unused. */
+std::vector<std::uint8_t>
+scatteredCompleteCode( std::size_t alphabetSize, std::size_t usedSymbols, unsigned maxLength,
+                       std::uint64_t seed )
+{
+    const auto code = makeCompleteCode( usedSymbols, maxLength, seed );
+    std::vector<std::size_t> positions( alphabetSize );
+    for ( std::size_t i = 0; i < alphabetSize; ++i ) {
+        positions[i] = i;
+    }
+    Xorshift64 random( seed ^ 0x5CA77E2ULL );
+    for ( std::size_t i = alphabetSize; i > 1; --i ) {
+        std::swap( positions[i - 1], positions[random.below( i )] );
+    }
+    std::vector<std::uint8_t> lengths( alphabetSize, 0 );
+    for ( std::size_t i = 0; i < code.size(); ++i ) {
+        lengths[positions[i]] = code[i];
+    }
+    return lengths;
 }
 
 }  // namespace
@@ -388,9 +464,45 @@ main()
         REQUIRE( coding.decode( empty ) == HuffmanCoding::DECODE_EOF );
     }
 
-    /* Multi-symbol LUT equivalence sweep (PR 4): naive vs two-level vs
-     * multi-symbol cached event streams on randomized dynamic codings over
-     * the full literal/length alphabet — including pathological 15-bit
+    /* The Decoder's packed tables against the two-level LUT, pattern by
+     * pattern: random complete codes of every maximum length 1..15, with
+     * unused symbols in between, in both main-table widths; literal/length
+     * alphabets of 257..288 symbols including coded 286/287; single-code
+     * (incomplete) distance codes of every length; no distance code. */
+    {
+        Xorshift64 random( 0x9AC4ED );
+        for ( unsigned maxLength = 1; maxLength <= 15; ++maxLength ) {
+            for ( std::uint64_t seed = 1; seed <= 4; ++seed ) {
+                const auto alphabet = 257 + random.below( 32 );
+                const auto used = std::min<std::size_t>(
+                    std::size_t( 1 ) << maxLength, 2 + random.below( alphabet - 1 ) );
+                const auto lengths = scatteredCompleteCode(
+                    alphabet, used, maxLength, seed * 131 + maxLength );
+                checkPackedTable( lengths, deflate::LITERAL_TABLE_BITS );
+                checkPackedTable( lengths, deflate::DISTANCE_TABLE_BITS );
+
+                const auto distanceLengths = scatteredCompleteCode(
+                    30, std::min<std::size_t>( std::size_t( 1 ) << maxLength, 30 ), maxLength,
+                    seed * 7 + maxLength );
+                checkPackedTable( distanceLengths, deflate::DISTANCE_TABLE_BITS );
+            }
+        }
+        for ( const unsigned maxLength : { 9U, 12U, 15U } ) {
+            auto lengths = scatteredCompleteCode( 288, 288, maxLength, 0x286287 + maxLength );
+            REQUIRE( ( lengths[286] != 0 ) && ( lengths[287] != 0 ) );
+            checkPackedTable( lengths, deflate::LITERAL_TABLE_BITS );
+        }
+        for ( unsigned length = 1; length <= 15; ++length ) {
+            std::vector<std::uint8_t> single( 30, 0 );
+            single[length % 30] = static_cast<std::uint8_t>( length );
+            checkPackedTable( single, deflate::DISTANCE_TABLE_BITS );
+        }
+        checkPackedTable( std::vector<std::uint8_t>( 30, 0 ), deflate::DISTANCE_TABLE_BITS );
+    }
+
+    /* Packed-table event equivalence sweep: naive vs two-level vs the
+     * Decoder's packed literal/length table, on randomized dynamic codings
+     * over the full literal/length alphabet — including pathological 15-bit
      * codes — plus the fixed coding, on random bits and on truncated
      * streams (EOF at every boundary near the end). */
     {
@@ -402,9 +514,9 @@ main()
                 checkEventEquivalence( lengths, bits );
             }
         }
-        /* Small alphabets exercise deep multi-literal packing. */
-        checkEventEquivalence( makeCompleteCode( 64, 7, 0xAB1E ),
-                               workloads::randomData( 16 * KiB, 0xAB1F ) );
+        /* A literal/length code that also codes the invalid 286/287. */
+        checkEventEquivalence( scatteredCompleteCode( 288, 288, 12, 0x2871 ),
+                               workloads::randomData( 16 * KiB, 0x2872 ) );
 
         /* The fixed (BTYPE 01) literal coding. */
         std::vector<std::uint8_t> fixedLengths( 288 );

@@ -56,34 +56,6 @@ public:
         return sub.symbol;
     }
 
-    /**
-     * decode() under the BitReader guaranteed-bits contract: the caller has
-     * ensureBits()-guaranteed at least maxCodeLength() buffered bits, so the
-     * EOF checks and refills are skipped entirely. Never returns DECODE_EOF.
-     * Templated so it works on BitReader and BitReader::RegisterCursor alike.
-     */
-    template<typename Reader>
-    [[nodiscard]] int
-    decodeUnsafe( Reader& bitReader ) const noexcept
-    {
-        const auto bits = bitReader.peekUnsafe( m_maxLength );
-        const auto& root = m_rootTable[bits & m_rootMask];
-        if ( !root.isSubtable ) {
-            if ( root.length == 0 ) {
-                return DECODE_INVALID;
-            }
-            bitReader.consumeUnsafe( root.length );
-            return static_cast<int>( root.value );
-        }
-        const auto subIndex = ( bits >> m_rootBits ) & ( ( std::uint64_t( 1 ) << root.length ) - 1U );
-        const auto& sub = m_subTable[root.value + subIndex];
-        if ( sub.length == 0 ) {
-            return DECODE_INVALID;
-        }
-        bitReader.consumeUnsafe( sub.length );
-        return sub.symbol;
-    }
-
 private:
     struct RootEntry
     {
